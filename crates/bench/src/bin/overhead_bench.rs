@@ -174,7 +174,7 @@ fn write_json(results: &[(BenchConfig, Vec<Point>)]) -> std::io::Result<std::pat
     let _ = writeln!(j, "  \"mode\": \"full\",");
     let _ = writeln!(
         j,
-        "  \"note\": \"Task-Bench-style METG: ns_per_task is host overhead per zero-work task; for an overhead-additive runtime this equals METG at 50% efficiency. Swept over task density (tasks/PE/timestep). Host is a 1-core VM with steal-time noise; each point keeps the faster of two digest-checked runs, absolute numbers still move ~±30% run to run.\","
+        "  \"note\": \"Task-Bench-style METG: ns_per_task is host overhead per zero-work task; for an overhead-additive runtime this equals METG at 50% efficiency. Swept over task density (tasks/PE/timestep). host_cores is the measuring host's core count; on shared VMs with steal-time noise each point keeps the faster of two digest-checked runs, and absolute numbers still move ~±30% run to run.\","
     );
     let _ = writeln!(j, "  \"host_cores\": {host_cores},");
     let _ = writeln!(j, "  \"pes\": {PES},");

@@ -700,6 +700,7 @@ impl Runtime {
                 // summaries report arena deltas as best-effort only.
                 arena_base: crate::arena::ArenaStats::default(),
                 entry_name_cache: FxHashMap::default(),
+                shard_queue_ops: 0,
                 global_window: false,
                 sync_windows: 0,
                 sync_width_ns: 0,
@@ -826,6 +827,7 @@ impl Runtime {
             for (t, k, ev) in rt.events.drain_entries() {
                 self.events.push_keyed(t, k, ev);
             }
+            self.shard_queue_ops += rt.events.ops();
             self.inflight += rt.inflight;
             self.queued += rt.queued;
             self.busy_pes += rt.busy_pes;
@@ -873,6 +875,8 @@ impl Runtime {
         }
         if let Some(r) = &mut self.recorder {
             r.absorb_shards(shard_recorders);
+            // Re-interning renumbered the entry names.
+            self.entry_name_cache.clear();
         }
         // Replay the buffered metric samples in global dispatch order — the
         // order the sequential engine would have journaled them. The sort
@@ -1459,12 +1463,20 @@ fn worker_adaptive(
         let new_clock = my_w.max(new_n.min(b));
         let clock_moved = new_clock > my_w;
         if clock_moved {
+            // A drained shard under an unbounded horizon publishes
+            // `u64::MAX`; count width and cells only up to the end of the
+            // cell holding its last real event, not to the end of time.
+            let counted = if new_clock == u64::MAX {
+                my_w.max(rt.win_end_after(rt.now).0)
+            } else {
+                new_clock
+            };
             rt.sync_windows += 1;
-            rt.sync_width_ns += new_clock - my_w;
+            rt.sync_width_ns += counted - my_w;
             if !parked {
                 // Every α-cell edge crossed without blocking is a barrier
                 // the lockstep engine would have paid four waits for.
-                rt.sync_elided += new_clock / win - my_w / win;
+                rt.sync_elided += counted / win - my_w / win;
             }
             parked = false;
             my_w = new_clock;

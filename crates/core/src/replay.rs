@@ -19,7 +19,7 @@
 use crate::array::ObjId;
 use crate::chare::{RedValue, SysEvent};
 use charm_machine::SimTime;
-use std::collections::{HashMap, HashSet};
+use fxhash::FxHashMap;
 
 /// Configuration for [`RuntimeBuilder::record`](crate::RuntimeBuilder::record).
 #[derive(Debug, Clone, Default)]
@@ -241,11 +241,12 @@ charm_pup::impl_pup_struct!(ReplayLog {
 
 /// Digest a system event the way user payloads are digested — manually,
 /// since `SysEvent` deliberately has no wire `Pup` (it never crosses a
-/// checkpoint boundary). Folds the kind name plus every field.
+/// checkpoint boundary). Folds the kind name plus every field, streaming
+/// the bytes `Pup for String`/`Pup for Vec<T>` would emit (length prefix,
+/// then contents) straight from the borrowed event: no owned copies.
 pub(crate) fn sys_event_digest(ev: &SysEvent) -> u64 {
     let mut p = charm_pup::Puper::digester();
-    let mut name = ev.kind_name().to_string();
-    p.p(&mut name);
+    feed_len_prefixed(&mut p, ev.kind_name().as_bytes());
     match ev {
         SysEvent::Reduction { tag, value } => {
             p.p(&mut { *tag });
@@ -265,10 +266,27 @@ fn red_value_digest(p: &mut charm_pup::Puper, v: &RedValue) {
     match v {
         RedValue::F64(x) => p.p(&mut { *x }),
         RedValue::I64(x) => p.p(&mut { *x }),
-        RedValue::VecF64(xs) => p.p(&mut xs.clone()),
-        RedValue::VecI64(xs) => p.p(&mut xs.clone()),
-        RedValue::Bytes(xs) => p.p(&mut xs.clone()),
+        RedValue::VecF64(xs) => {
+            p.p(&mut (xs.len() as u64));
+            for &x in xs {
+                p.p(&mut { x });
+            }
+        }
+        RedValue::VecI64(xs) => {
+            p.p(&mut (xs.len() as u64));
+            for &x in xs {
+                p.p(&mut { x });
+            }
+        }
+        RedValue::Bytes(xs) => feed_len_prefixed(p, xs),
     }
+}
+
+/// A `u64` length prefix, then the bytes — the stream `Pup` emits for a
+/// `String` or a `Vec<u8>`.
+fn feed_len_prefixed(p: &mut charm_pup::Puper, bytes: &[u8]) {
+    p.p(&mut (bytes.len() as u64));
+    p.feed(bytes);
 }
 
 /// Where a recorded message came from.
@@ -283,6 +301,9 @@ enum Origin {
     /// exec (and, in parallel mode, possibly on a different shard than the
     /// producing exec). Resolved to an exec index when the log is built.
     Dispatch((u64, u64)),
+    /// Created past [`ReplayConfig::max_execs`] with no recorded producer:
+    /// counted in `shed_sends` when it routes.
+    Shed,
 }
 
 /// The in-flight recording state. Lives inside the [`Runtime`](crate::Runtime)
@@ -290,7 +311,7 @@ enum Origin {
 pub(crate) struct Recorder {
     pub(crate) cfg: ReplayConfig,
     entry_names: Vec<String>,
-    entry_ix: HashMap<String, u32>,
+    entry_ix: FxHashMap<String, u32>,
     execs: Vec<ExecRec>,
     /// Scheduler dispatch key `(t_ns, heap_key)` of each exec, parallel to
     /// `execs`. This is the total order the windowed engine executes in —
@@ -300,11 +321,12 @@ pub(crate) struct Recorder {
     dispatch_keys: Vec<(u64, u64)>,
     roots: Vec<SendRec>,
     state_points: Vec<DigestPoint>,
-    /// msg id → producing exec. Lookup-only; never iterated.
-    origin: HashMap<u64, Origin>,
-    /// msg ids whose routing was already recorded (re-routes after limbo
-    /// flushes and stale-cache forwards must not duplicate the send).
-    routed: HashSet<u64>,
+    /// msg id → producing exec, for messages created but not yet routed.
+    /// The first routing takes the entry out, so a re-route (limbo flush,
+    /// dead-PE chase, evacuation) finds none and records nothing: the table
+    /// holds only unrouted messages (parked in limbo, or dropped before
+    /// routing with a crashed process) and does not grow with the run.
+    origin: FxHashMap<u64, Origin>,
     /// Index of the exec currently applying its actions.
     current: Option<usize>,
     /// While set, new messages are attributed to the exec with this
@@ -324,13 +346,12 @@ impl Recorder {
         Recorder {
             cfg,
             entry_names: Vec::new(),
-            entry_ix: HashMap::new(),
+            entry_ix: FxHashMap::default(),
             execs: Vec::new(),
             dispatch_keys: Vec::new(),
             roots: Vec::new(),
             state_points: Vec::new(),
-            origin: HashMap::new(),
-            routed: HashSet::new(),
+            origin: FxHashMap::default(),
             current: None,
             origin_dispatch: None,
             deferred: Vec::new(),
@@ -356,7 +377,10 @@ impl Recorder {
         self.shed_sends
     }
 
-    fn intern(&mut self, name: &str) -> u32 {
+    /// Index of `name` in the log's entry-name table, adding it on first
+    /// use. Callers cache the result per `(array, kind)`, so this runs once
+    /// per entry method, not once per exec.
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
         if let Some(&i) = self.entry_ix.get(name) {
             return i;
         }
@@ -378,16 +402,16 @@ impl Recorder {
             (None, Some(i)) => Origin::Exec(i),
             // Past the exec cap nothing executes on the record, so a
             // message without a current exec has no recordable producer:
-            // skip the origin table (it must not grow unbounded either)
-            // and count the send when it routes.
-            (None, None) if self.capped() => return,
+            // count the send (once) when it routes.
+            (None, None) if self.capped() => Origin::Shed,
             (None, None) => Origin::External,
         };
         self.origin.insert(msg_id, origin);
     }
 
-    /// A message's delivery was scheduled (first routing only; later
-    /// forwards and limbo re-flushes are extra hops of the same send).
+    /// A message's delivery was scheduled. Only the first routing records
+    /// a send; later re-routes and limbo re-flushes are extra hops of the
+    /// same send and find no origin entry left.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_routed(
         &mut self,
@@ -398,9 +422,9 @@ impl Recorder {
         tree_depth: u64,
         rtt_bytes: usize,
     ) {
-        if !self.routed.insert(msg_id) {
+        let Some(origin) = self.origin.remove(&msg_id) else {
             return;
-        }
+        };
         let rec = SendRec {
             msg_id,
             bytes: bytes as u64,
@@ -409,18 +433,26 @@ impl Recorder {
             tree_depth: tree_depth as u32,
             rtt_bytes: rtt_bytes as u64,
         };
-        match self.origin.get(&msg_id).copied() {
-            Some(Origin::Exec(i)) => self.execs[i].sends.push(rec),
-            Some(Origin::Dispatch(dk)) => self.deferred.push((dk, rec)),
-            // An untracked message under a capped recording was produced
-            // past the cap: shed it (visibly) instead of growing `roots`.
-            None if self.capped() => self.shed_sends += 1,
-            Some(Origin::External) | None => self.roots.push(rec),
+        match origin {
+            Origin::Exec(i) => self.execs[i].sends.push(rec),
+            Origin::Dispatch(dk) => self.deferred.push((dk, rec)),
+            Origin::External => self.roots.push(rec),
+            // Produced past the cap: shed it (visibly) instead of growing
+            // `roots`.
+            Origin::Shed => self.shed_sends += 1,
         }
     }
 
+    /// Messages created but not yet routed.
+    #[cfg(test)]
+    pub(crate) fn unrouted_len(&self) -> usize {
+        self.origin.len()
+    }
+
     /// An entry method is about to apply its actions; every send recorded
-    /// until [`Recorder::end_exec`] belongs to it. Returns the exec seq.
+    /// until [`Recorder::end_exec`] belongs to it. `entry` yields the
+    /// interned entry name; it is only asked for below the exec cap, so a
+    /// shed exec never adds a name to the log.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn begin_exec(
         &mut self,
@@ -428,7 +460,7 @@ impl Recorder {
         start: SimTime,
         dur: SimTime,
         dst: ObjId,
-        entry_name: &str,
+        entry: impl FnOnce(&mut Self) -> u32,
         msg_id: u64,
         msg_src: Option<ObjId>,
         msg_digest: u64,
@@ -443,7 +475,7 @@ impl Recorder {
             self.current = None;
             return;
         }
-        let entry = self.intern(entry_name);
+        let entry = entry(self);
         let seq = self.execs.len() as u64;
         self.dispatch_keys.push(dispatch);
         self.execs.push(ExecRec {
@@ -460,7 +492,9 @@ impl Recorder {
             work,
             n_remote,
             n_local,
-            sends: Vec::new(),
+            // One routed send per counted action is the common case, so
+            // this is usually the final size.
+            sends: Vec::with_capacity((n_remote + n_local) as usize),
         });
         self.current = Some(self.execs.len() - 1);
     }
@@ -538,7 +572,6 @@ impl Recorder {
                 };
                 self.origin.insert(msg_id, org);
             }
-            self.routed.extend(src.routed);
             self.roots.extend(src.roots);
             self.state_points.extend(src.state_points);
             self.shed_execs += src.shed_execs;
@@ -566,7 +599,7 @@ impl Recorder {
     ) -> ReplayLog {
         // Attach dispatch-keyed sends (reduction-fold callbacks) to their
         // producing execs, in fold order.
-        let by_key: HashMap<(u64, u64), usize> = self
+        let by_key: FxHashMap<(u64, u64), usize> = self
             .dispatch_keys
             .iter()
             .enumerate()
@@ -604,7 +637,9 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ix;
+    use crate::{ArrayProxy, Chare, Ctx, Ix, Runtime};
+    use charm_machine::MachineConfig;
+    use charm_pup::{Pup, Puper};
 
     #[test]
     fn log_roundtrips_through_pup() {
@@ -686,6 +721,251 @@ mod tests {
                 tag: 1,
                 value: RedValue::F64(1.0),
             })
+        );
+    }
+
+    /// The pre-streaming fold: owned copies of the kind name and of every
+    /// vector payload, pupped as `String`/`Vec<T>`.
+    fn owned_copy_digest(ev: &SysEvent) -> u64 {
+        let mut p = Puper::digester();
+        p.p(&mut ev.kind_name().to_string());
+        match ev {
+            SysEvent::Reduction { tag, value } => {
+                p.p(&mut { *tag });
+                match value {
+                    RedValue::F64(x) => p.p(&mut { *x }),
+                    RedValue::I64(x) => p.p(&mut { *x }),
+                    RedValue::VecF64(xs) => p.p(&mut xs.clone()),
+                    RedValue::VecI64(xs) => p.p(&mut xs.clone()),
+                    RedValue::Bytes(xs) => p.p(&mut xs.clone()),
+                }
+            }
+            SysEvent::Migrated { from_pe } => p.p(&mut { *from_pe }),
+            SysEvent::Restarted { failed_pe } => p.p(&mut { *failed_pe }),
+            SysEvent::ResumeFromSync
+            | SysEvent::QuiescenceDetected
+            | SysEvent::CheckpointDone
+            | SysEvent::Inserted => {}
+        }
+        p.digest()
+    }
+
+    #[test]
+    fn streamed_sys_digest_matches_owned_copy_fold() {
+        let values = [
+            RedValue::F64(-2.5),
+            RedValue::I64(-7),
+            RedValue::VecF64(vec![]),
+            RedValue::VecF64(vec![1.0, f64::MIN_POSITIVE, -0.0]),
+            RedValue::VecI64(vec![i64::MIN, 0, 3]),
+            RedValue::Bytes(vec![]),
+            RedValue::Bytes((0..=255).collect()),
+        ];
+        let mut events: Vec<SysEvent> = values
+            .into_iter()
+            .map(|value| SysEvent::Reduction { tag: 9, value })
+            .collect();
+        events.extend([
+            SysEvent::ResumeFromSync,
+            SysEvent::Migrated { from_pe: 5 },
+            SysEvent::QuiescenceDetected,
+            SysEvent::CheckpointDone,
+            SysEvent::Restarted { failed_pe: 3 },
+            SysEvent::Inserted,
+        ]);
+        for ev in &events {
+            assert_eq!(sys_event_digest(ev), owned_copy_digest(ev), "{ev:?}");
+        }
+    }
+
+    /// Test chare driven by numeric commands (see `on_message`).
+    #[derive(Default)]
+    struct Node {
+        got: u64,
+    }
+
+    impl Pup for Node {
+        fn pup(&mut self, p: &mut Puper) {
+            p.p(&mut self.got);
+        }
+    }
+
+    const SEND_TO_ABSENT: u64 = 1;
+    const INSERT_ABSENT: u64 = 2;
+    const ABSENT: i64 = 99;
+    const PING_PEER: u64 = 3;
+    const DATA: u64 = 7;
+    const PEER: i64 = 1;
+
+    impl Chare for Node {
+        type Msg = u64;
+        fn on_message(&mut self, m: u64, ctx: &mut Ctx<'_>) {
+            let arr = ArrayProxy::<Node>::from_id(ctx.my_id().array);
+            match m {
+                SEND_TO_ABSENT => {
+                    ctx.send(arr, Ix::i1(ABSENT), DATA);
+                    ctx.send_after(SimTime::from_micros(20), arr, ctx.my_index(), INSERT_ABSENT);
+                }
+                INSERT_ABSENT => ctx.insert(arr, Ix::i1(ABSENT), Node::default(), Some(1)),
+                PING_PEER => {
+                    ctx.send(arr, Ix::i1(PEER), DATA);
+                    if self.got < 3 {
+                        self.got += 1;
+                        ctx.send_after(SimTime::from_micros(50), arr, ctx.my_index(), PING_PEER);
+                    }
+                }
+                DATA => {
+                    self.got += 1;
+                    // The peer moves away after its first message, leaving
+                    // the sender's location cache stale.
+                    if self.got == 1 && ctx.my_index() == Ix::i1(PEER) {
+                        ctx.migrate_me(2);
+                    }
+                }
+                // Fan-out: `m - 100` more generations, three children each.
+                m if m > 100 => {
+                    ctx.work(2e5);
+                    let me = match ctx.my_index() {
+                        Ix::I1(i) => i,
+                        _ => unreachable!(),
+                    };
+                    for d in [1, 3, 5] {
+                        ctx.send(arr, Ix::i1((me + d) % 16), m - 1);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn recorded(cfg: ReplayConfig, pes: usize) -> (Runtime, ArrayProxy<Node>) {
+        let mut rt = Runtime::builder(MachineConfig::homogeneous(pes))
+            .record(cfg)
+            .build();
+        let arr = rt.create_array::<Node>("node");
+        (rt, arr)
+    }
+
+    fn unrouted(rt: &Runtime) -> usize {
+        rt.recorder.as_ref().expect("recording").unrouted_len()
+    }
+
+    /// Every `SendRec` for `msg_id`, wherever it was attached.
+    fn sends_of(log: &ReplayLog, msg_id: u64) -> Vec<(Option<u64>, SendRec)> {
+        let from_execs = log.execs.iter().flat_map(|e| {
+            e.sends
+                .iter()
+                .filter(|s| s.msg_id == msg_id)
+                .map(move |s| (Some(e.seq), s.clone()))
+        });
+        let from_roots = log
+            .roots
+            .iter()
+            .filter(|s| s.msg_id == msg_id)
+            .map(|s| (None, s.clone()));
+        from_execs.chain(from_roots).collect()
+    }
+
+    fn total_sends(log: &ReplayLog) -> usize {
+        log.roots.len() + log.execs.iter().map(|e| e.sends.len()).sum::<usize>()
+    }
+
+    #[test]
+    fn limbo_send_is_attributed_to_its_producer_once() {
+        let (mut rt, arr) = recorded(ReplayConfig::default(), 4);
+        rt.insert(arr, Ix::i1(0), Node::default(), Some(0));
+        rt.send(arr, Ix::i1(0), SEND_TO_ABSENT);
+        rt.run();
+        assert!(rt.limbo_messages().is_empty(), "the parked send was flushed");
+        assert_eq!(unrouted(&rt), 0, "origin table drained after the run");
+        let log = rt.take_replay_log().unwrap();
+
+        let absent = ObjId {
+            array: arr.id,
+            ix: Ix::i1(ABSENT),
+        };
+        let consumed = log
+            .execs
+            .iter()
+            .find(|e| e.dst == absent && log.entry_names[e.entry as usize].ends_with("on_message"))
+            .expect("the parked message executed after the insert");
+        let producer = log
+            .execs
+            .iter()
+            .find(|e| e.dst.ix == Ix::i1(0) && e.sends.iter().any(|s| s.msg_id == consumed.msg_id))
+            .expect("attributed to an exec of element 0");
+        let sends = sends_of(&log, consumed.msg_id);
+        assert_eq!(sends.len(), 1, "recorded exactly once: {sends:?}");
+        assert_eq!(sends[0].0, Some(producer.seq));
+        // The producer is the exec that sent it, not the later one whose
+        // insert flushed it out of limbo.
+        assert!(producer.seq < consumed.seq);
+        let inserter = log
+            .execs
+            .iter()
+            .find(|e| e.dst.ix == Ix::i1(0) && e.seq != producer.seq)
+            .expect("the inserting exec");
+        assert!(inserter.sends.iter().all(|s| s.msg_id != consumed.msg_id));
+    }
+
+    #[test]
+    fn stale_cache_forward_is_not_recorded_again() {
+        let (mut rt, arr) = recorded(ReplayConfig::default(), 4);
+        rt.insert(arr, Ix::i1(0), Node::default(), Some(0));
+        rt.insert(arr, Ix::i1(PEER), Node::default(), Some(1));
+        rt.send(arr, Ix::i1(0), PING_PEER);
+        rt.run();
+        assert_eq!(rt.element_pe(arr.id, &Ix::i1(PEER)), Some(2), "peer migrated");
+        assert_eq!(unrouted(&rt), 0, "origin table drained after the run");
+        let log = rt.take_replay_log().unwrap();
+
+        let peer_execs: Vec<&ExecRec> = log
+            .execs
+            .iter()
+            .filter(|e| e.dst.ix == Ix::i1(PEER) && e.pe == 2 && e.msg_src.is_some())
+            .collect();
+        assert!(!peer_execs.is_empty(), "peer received messages after moving");
+        let mut forwarded = 0;
+        for e in peer_execs {
+            let sends = sends_of(&log, e.msg_id);
+            assert_eq!(sends.len(), 1, "msg {} recorded {} times", e.msg_id, sends.len());
+            forwarded += usize::from(sends[0].1.dst_pe == 1);
+        }
+        assert!(forwarded > 0, "no send went through the stale cache entry");
+    }
+
+    /// A fan-out storm on 8 PEs, shrunk to 4 mid-run: the envelopes queued
+    /// on the retired PEs are routed a second time.
+    fn storm(cfg: ReplayConfig) -> Runtime {
+        let (mut rt, arr) = recorded(cfg, 8);
+        for i in 0..16 {
+            rt.insert(arr, Ix::i1(i), Node::default(), Some(i as usize % 8));
+        }
+        rt.send(arr, Ix::i1(0), 105);
+        rt.send(arr, Ix::i1(7), 105);
+        rt.schedule_reconfigure(SimTime::from_micros(600), 4);
+        rt.run();
+        rt
+    }
+
+    #[test]
+    fn capped_recording_sheds_each_rerouted_send_once() {
+        let mut full = storm(ReplayConfig::default());
+        assert_eq!(unrouted(&full), 0);
+        let full = full.take_replay_log().unwrap();
+
+        const CAP: usize = 10;
+        let mut capped = storm(ReplayConfig::with_max_execs(CAP as u64));
+        assert_eq!(unrouted(&capped), 0, "shed messages leave no origin entry");
+        let s = capped.summary();
+        let capped = capped.take_replay_log().unwrap();
+        assert_eq!(capped.execs.len(), CAP);
+        assert_eq!(s.replay_shed_execs as usize, full.execs.len() - CAP);
+        assert!(s.replay_shed_sends > 0);
+        assert_eq!(
+            total_sends(&capped) + s.replay_shed_sends as usize,
+            total_sends(&full),
+            "every send is either recorded or shed, exactly once"
         );
     }
 }

@@ -266,8 +266,8 @@ pub struct RunSummary {
     pub replay_shed_sends: u64,
     /// Event-queue and PE-scheduler-queue operations (pushes + pops)
     /// performed so far. Together with `events_per_sec` this separates
-    /// "fewer/cheaper queue ops" wins from everything else. Best-effort in
-    /// parallel mode (per-shard queue ops are not merged back).
+    /// "fewer/cheaper queue ops" wins from everything else. Summed over
+    /// shards in parallel mode.
     pub queue_ops: u64,
     /// Bytes served from the envelope/payload arena instead of the global
     /// allocator (this thread, since the runtime was built).
@@ -665,6 +665,7 @@ impl RuntimeBuilder {
             arena_enabled: !self.classic_hotpath,
             arena_base: crate::arena::stats(),
             entry_name_cache: FxHashMap::default(),
+            shard_queue_ops: 0,
             global_window: self.global_window,
             sync_windows: 0,
             sync_width_ns: 0,
@@ -817,9 +818,15 @@ pub struct Runtime {
     /// This thread's arena counters when the runtime was built; `summary()`
     /// reports the delta.
     pub(crate) arena_base: crate::arena::ArenaStats,
-    /// Recorder entry names per (array, entry kind), built once instead of
-    /// `format!`-allocated on every recorded execution.
-    pub(crate) entry_name_cache: FxHashMap<(u32, &'static str), String>,
+    /// The recorder's interned entry-name index per (array, entry kind):
+    /// the `array::kind` name is formatted and interned once per pair
+    /// instead of looked up by string on every recorded execution. Valid
+    /// for the recorder it was filled from; cleared whenever that
+    /// recorder's name table is rebuilt.
+    pub(crate) entry_name_cache: FxHashMap<(u32, &'static str), u32>,
+    /// Event-queue operations performed by parallel shards' own queues,
+    /// carried into [`RunSummary::queue_ops`] when the shards merge back.
+    pub(crate) shard_queue_ops: u64,
     /// Force parallel workers onto the global-window (full-barrier) engine
     /// ([`RuntimeBuilder::global_window`]); A/B fallback for the adaptive
     /// per-shard-pair lookahead core.
@@ -1414,6 +1421,7 @@ impl Runtime {
             replay_shed_execs: self.recorder.as_ref().map_or(0, |r| r.shed_execs()),
             replay_shed_sends: self.recorder.as_ref().map_or(0, |r| r.shed_sends()),
             queue_ops: self.events.ops()
+                + self.shard_queue_ops
                 + self.pes.iter().map(|p| p.pending.ops()).sum::<u64>(),
             arena_bytes: crate::arena::stats()
                 .bytes_served
@@ -1685,9 +1693,8 @@ impl Runtime {
         };
         // Digest the consumed payload *before* execution moves it into the
         // chare. Only pay the cost when recording. The recorder entry name
-        // (`array::kind`) is interned in `entry_name_cache` at use below —
-        // the old per-exec `format!` was a measurable share of recorded-run
-        // dispatch cost.
+        // (`array::kind`) is interned once and its index cached in
+        // `entry_name_cache` at use below.
         let rec_consumed = if self.recorder.is_some() {
             Some(match &mut payload {
                 Payload::User(boxed) => (store.user_msg_digest(boxed), "on_message"),
@@ -1767,20 +1774,21 @@ impl Runtime {
 
         let dispatch = self.cur_dispatch;
         if let Some((digest, kind)) = rec_consumed {
-            // Disjoint-field borrows: the interned name borrows
-            // `entry_name_cache` while the recorder is borrowed mutably.
+            // Disjoint-field borrows: the name cache and stores are read
+            // while the recorder is borrowed mutably.
             let stores = &self.stores;
-            let entry_name = self
-                .entry_name_cache
-                .entry((aid.0, kind))
-                .or_insert_with(|| format!("{}::{}", stores[aid.0 as usize].name(), kind));
+            let cache = &mut self.entry_name_cache;
             if let Some(r) = self.recorder.as_mut() {
                 r.begin_exec(
                     pe,
                     self.now,
                     duration,
                     dst,
-                    entry_name,
+                    |r| {
+                        *cache.entry((aid.0, kind)).or_insert_with(|| {
+                            r.intern(&format!("{}::{}", stores[aid.0 as usize].name(), kind))
+                        })
+                    },
                     rec_id,
                     src_obj,
                     digest,

@@ -232,3 +232,111 @@ fn replay_log_bytes_identical_across_engines() {
         }
     }
 }
+
+/// Satellite: shard event queues are merged back into `queue_ops`, so the
+/// counter keeps its invariant (every processed event was pushed and
+/// popped at least once) after a parallel run.
+#[test]
+fn parallel_queue_ops_cover_every_event() {
+    for threads in [2usize, 4] {
+        let cfg = charm_apps::leanmd::LeanMdConfig {
+            machine: MachineConfig::homogeneous(8),
+            cells_per_dim: 3,
+            atoms_per_cell: 40,
+            steps: 4,
+            threads,
+            ..Default::default()
+        };
+        let (_run, rt) = charm_apps::leanmd::run_with_runtime(cfg);
+        assert!(rt.last_run_parallel(), "threads {threads}: run did not go parallel");
+        let s = rt.summary();
+        assert!(s.events > 0);
+        assert!(
+            s.queue_ops >= s.events,
+            "threads {threads}: queue_ops {} below events {}",
+            s.queue_ops,
+            s.events
+        );
+    }
+}
+
+/// Zero-work ping-pong partner: the pure scheduler stressor.
+#[derive(Default)]
+struct Ping {
+    count: u64,
+    limit: u64,
+    peer: i64,
+}
+
+impl charm_pup::Pup for Ping {
+    fn pup(&mut self, p: &mut charm_pup::Puper) {
+        charm_pup::pup_all!(p; self.count, self.limit, self.peer);
+    }
+}
+
+impl charm_core::Chare for Ping {
+    type Msg = u8;
+    fn on_message(&mut self, _m: u8, ctx: &mut charm_core::Ctx<'_>) {
+        self.count += 1;
+        if self.count < self.limit {
+            let arr = charm_core::ArrayProxy::<Ping>::from_id(ctx.my_id().array);
+            ctx.send(arr, charm_core::Ix::i1(self.peer), 0u8);
+        }
+    }
+}
+
+/// `pairs` ping-pong pairs on 8 PEs, each pair split across two PEs.
+fn ping_pipe(pairs: usize, limit: u64, threads: usize) -> Runtime {
+    let pes = 8;
+    let mut rt = Runtime::homogeneous(pes);
+    rt.set_parallel_threads(threads);
+    let arr = rt.create_array::<Ping>("ping");
+    for k in 0..pairs {
+        let (a, b) = ((2 * k) as i64, (2 * k + 1) as i64);
+        let ping = |peer| Ping {
+            count: 0,
+            limit,
+            peer,
+        };
+        rt.insert(arr, charm_core::Ix::i1(a), ping(b), Some((2 * k) % pes));
+        rt.insert(arr, charm_core::Ix::i1(b), ping(a), Some((2 * k + 1) % pes));
+    }
+    for k in 0..pairs {
+        rt.send(arr, charm_core::Ix::i1((2 * k) as i64), 0u8);
+    }
+    rt.run();
+    rt
+}
+
+/// Satellite: a shard that drains publishes an unbounded clock at the end
+/// of the run; the window counters must count α-cells only up to its last
+/// real event, not up to `u64::MAX`.
+#[test]
+fn window_counters_stay_within_the_run() {
+    let win = charm_core::machine::NetworkModel::new(MachineConfig::homogeneous(8).network, 0)
+        .min_remote_delay()
+        .0
+        .max(1);
+    let mut seq = ping_pipe(32, 500, 1);
+    let seq_s = seq.summary();
+    assert_eq!(seq_s.barriers_elided, 0);
+    for threads in [2usize, 4] {
+        let mut rt = ping_pipe(32, 500, threads);
+        assert!(rt.last_run_parallel(), "threads {threads}: run did not go parallel");
+        assert_eq!(rt.state_digest(), seq.state_digest());
+        let s = rt.summary();
+        assert_eq!(s.end_time, seq_s.end_time);
+        let cells = s.end_time.0 / win + 1;
+        assert!(
+            s.barriers_elided <= cells * threads as u64,
+            "threads {threads}: barriers_elided {} exceeds {cells} cells x {threads} shards",
+            s.barriers_elided
+        );
+        assert!(
+            s.avg_window_width <= s.end_time.0 as f64,
+            "threads {threads}: avg_window_width {} exceeds end_time {}",
+            s.avg_window_width,
+            s.end_time.0
+        );
+    }
+}

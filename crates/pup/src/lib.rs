@@ -62,6 +62,13 @@ enum Inner {
     Digesting { hash: u64 },
 }
 
+#[inline(always)]
+fn fnv_fold(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash = (*hash ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+}
+
 /// The serialization driver, equivalent to Charm++'s `PUP::er`.
 ///
 /// Construct one of the three modes with [`Puper::sizer`], [`Puper::packer`],
@@ -189,11 +196,7 @@ impl Puper {
         match &mut self.inner {
             Inner::Sizing { size } => *size += bytes.len(),
             Inner::Packing { buf } => buf.extend_from_slice(bytes),
-            Inner::Digesting { hash } => {
-                for &b in bytes.iter() {
-                    *hash = (*hash ^ b as u64).wrapping_mul(FNV_PRIME);
-                }
-            }
+            Inner::Digesting { hash } => fnv_fold(hash, bytes),
             Inner::Unpacking { data, pos } => {
                 let end = *pos + bytes.len();
                 assert!(
@@ -206,6 +209,22 @@ impl Puper {
                 bytes.copy_from_slice(&data[*pos..end]);
                 *pos = end;
             }
+        }
+    }
+
+    /// Drive bytes the caller only lends for reading: sizing counts them,
+    /// packing appends them, digesting folds them — the same stream
+    /// [`bytes`](Self::bytes) produces, without needing a mutable copy.
+    ///
+    /// # Panics
+    /// Panics when unpacking (there is nothing to write the input into).
+    #[inline]
+    pub fn feed(&mut self, bytes: &[u8]) {
+        match &mut self.inner {
+            Inner::Sizing { size } => *size += bytes.len(),
+            Inner::Packing { buf } => buf.extend_from_slice(bytes),
+            Inner::Digesting { hash } => fnv_fold(hash, bytes),
+            Inner::Unpacking { .. } => panic!("Puper::feed called on an unpacking puper"),
         }
     }
 

@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release -q
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (workspace)"
+cargo test -q --workspace
 
 echo "==> lint (clippy -D warnings, all crates)"
 sh scripts/lint.sh
