@@ -67,6 +67,7 @@ struct Measured {
     went_parallel: bool,
     barriers_waited: u64,
     barriers_elided: u64,
+    windows_executed: u64,
 }
 
 impl Measured {
@@ -137,6 +138,7 @@ fn measure(
         went_parallel: p1,
         barriers_waited: s1.barriers_waited,
         barriers_elided: s1.barriers_elided,
+        windows_executed: s1.windows_executed,
     }
 }
 
@@ -176,11 +178,9 @@ fn run_ping_pipe(
     pairs: usize,
     limit: u64,
     threads: usize,
-    gw: bool,
 ) -> (RunSummary, u64, bool) {
     let mut rt = Runtime::homogeneous(pes);
     rt.set_parallel_threads(threads);
-    rt.set_global_window(gw);
     let arr = rt.create_array::<Ping>("ping");
     for k in 0..pairs {
         let a = (2 * k) as i64;
@@ -267,15 +267,9 @@ impl Chare for Source {
     }
 }
 
-fn run_tram_flood(
-    pes: usize,
-    items_per_source: u64,
-    threads: usize,
-    gw: bool,
-) -> (RunSummary, u64, bool) {
+fn run_tram_flood(pes: usize, items_per_source: u64, threads: usize) -> (RunSummary, u64, bool) {
     let mut rt = Runtime::homogeneous(pes);
     rt.set_parallel_threads(threads);
-    rt.set_global_window(gw);
     let sinks = rt.create_array::<Sink>("sinks");
     for pe in 0..pes {
         for s in 0..SINKS_PER_PE {
@@ -314,28 +308,20 @@ fn run_tram_flood(
 // app workloads
 // ---------------------------------------------------------------------------
 
-fn run_stencil(
-    pes: usize,
-    chares_per_pe: usize,
-    steps: u64,
-    threads: usize,
-    gw: bool,
-) -> (RunSummary, u64, bool) {
+fn run_stencil(pes: usize, chares_per_pe: usize, steps: u64, threads: usize) -> (RunSummary, u64, bool) {
     let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(pes), chares_per_pe);
     cfg.steps = steps;
     cfg.threads = threads;
-    cfg.global_window = gw;
     let (_run, mut rt) = stencil::run_with_runtime(cfg);
     let d = fold_digest(&rt.state_digest());
     let p = rt.last_run_parallel();
     (rt.summary(), d, p)
 }
 
-fn run_leanmd(steps: u64, threads: usize, gw: bool) -> (RunSummary, u64, bool) {
+fn run_leanmd(steps: u64, threads: usize) -> (RunSummary, u64, bool) {
     let cfg = leanmd::LeanMdConfig {
         steps,
         threads,
-        global_window: gw,
         ..Default::default()
     };
     let (_run, mut rt) = leanmd::run_with_runtime(cfg);
@@ -344,12 +330,11 @@ fn run_leanmd(steps: u64, threads: usize, gw: bool) -> (RunSummary, u64, bool) {
     (rt.summary(), d, p)
 }
 
-fn run_pdes(lps_per_pe: usize, windows: u64, threads: usize, gw: bool) -> (RunSummary, u64, bool) {
+fn run_pdes(lps_per_pe: usize, windows: u64, threads: usize) -> (RunSummary, u64, bool) {
     let cfg = pdes::PdesConfig {
         lps_per_pe,
         windows,
         threads,
-        global_window: gw,
         ..Default::default()
     };
     let (_run, mut rt) = pdes::run_with_runtime(cfg);
@@ -371,9 +356,11 @@ struct ScalePoint {
     /// Blocking waits per thousand events on the adaptive engine (parks of
     /// a starved shard; the sequential point records 0).
     barriers_per_kevent: f64,
-    /// Same cadence on the global-window lockstep fallback: four barrier
-    /// waits per shard per window. The adaptive engine's headline claim is
-    /// this ratio.
+    /// Lower bound on the same cadence for a lockstep engine, which waits
+    /// at two barriers per shard per global window (publish and end of
+    /// read phase; two more on boundary-work windows): `2 × threads ×
+    /// windows / kevent`, with the window count taken from the sequential
+    /// point. The adaptive engine's headline claim is this ratio.
     lockstep_barriers_per_kevent: f64,
     barriers_elided: u64,
 }
@@ -387,19 +374,16 @@ const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Measure the workloads at 1/2/4/8 worker threads. Digest equality vs
 /// the sequential engine is asserted inside `measure` for every threaded
-/// point, so a scaling number can never come from a wrong answer. The
-/// second closure argument selects the global-window lockstep fallback;
-/// each threaded point runs both engines so `barriers_per_kevent` carries
-/// its own before/after comparison.
-type WorkloadFn = Box<dyn Fn(usize, bool) -> (RunSummary, u64, bool)>;
+/// point, so a scaling number can never come from a wrong answer.
+type WorkloadFn = Box<dyn Fn(usize) -> (RunSummary, u64, bool)>;
 
 fn scaling_matrix() -> Vec<Scaling> {
     let apps: Vec<(&'static str, WorkloadFn)> = vec![
-        ("ping_pipe", Box::new(|t, gw| run_ping_pipe(8, 32, 2_000, t, gw))),
-        ("tram_flood", Box::new(|t, gw| run_tram_flood(8, 6_000, t, gw))),
-        ("stencil2d", Box::new(|t, gw| run_stencil(8, 4, 40, t, gw))),
-        ("leanmd", Box::new(|t, gw| run_leanmd(20, t, gw))),
-        ("pdes", Box::new(|t, gw| run_pdes(64, 16, t, gw))),
+        ("ping_pipe", Box::new(|t| run_ping_pipe(8, 32, 2_000, t))),
+        ("tram_flood", Box::new(|t| run_tram_flood(8, 6_000, t))),
+        ("stencil2d", Box::new(|t| run_stencil(8, 4, 40, t))),
+        ("leanmd", Box::new(|t| run_leanmd(20, t))),
+        ("pdes", Box::new(|t| run_pdes(64, 16, t))),
     ];
     println!("== parallel scaling (events/s at 1/2/4/8 worker threads)");
     println!(
@@ -409,16 +393,15 @@ fn scaling_matrix() -> Vec<Scaling> {
     let mut out = Vec::new();
     for (name, run) in apps {
         let mut points: Vec<ScalePoint> = Vec::new();
+        let mut seq_windows = 0;
         for t in SCALING_THREADS {
-            let m = measure(name, t, 2, |t| run(t, false));
+            let m = measure(name, t, 2, &run);
             let kev = m.events as f64 / 1_000.0;
+            if t == 1 {
+                seq_windows = m.windows_executed;
+            }
             let lockstep_bpk = if t > 1 {
-                let l = measure(name, t, 2, |t| run(t, true));
-                assert_eq!(
-                    m.digest, l.digest,
-                    "{name} at {t} threads: lockstep fallback digest diverged from adaptive"
-                );
-                l.barriers_waited as f64 / kev
+                (2 * t as u64 * seq_windows) as f64 / kev
             } else {
                 0.0
             };
@@ -539,19 +522,19 @@ fn main() {
 
     let results: Vec<Measured> = if smoke {
         vec![
-            measure("ping_pipe", threads, 2, |t| run_ping_pipe(8, 8, 400, t, false)),
-            measure("tram_flood", threads, 2, |t| run_tram_flood(8, 800, t, false)),
-            measure("stencil2d", threads, 2, |t| run_stencil(8, 2, 4, t, false)),
-            measure("leanmd", threads, 2, |t| run_leanmd(2, t, false)),
-            measure("pdes", threads, 2, |t| run_pdes(32, 4, t, false)),
+            measure("ping_pipe", threads, 2, |t| run_ping_pipe(8, 8, 400, t)),
+            measure("tram_flood", threads, 2, |t| run_tram_flood(8, 800, t)),
+            measure("stencil2d", threads, 2, |t| run_stencil(8, 2, 4, t)),
+            measure("leanmd", threads, 2, |t| run_leanmd(2, t)),
+            measure("pdes", threads, 2, |t| run_pdes(32, 4, t)),
         ]
     } else {
         vec![
-            measure("ping_pipe", threads, 3, |t| run_ping_pipe(8, 64, 10_000, t, false)),
-            measure("tram_flood", threads, 3, |t| run_tram_flood(16, 30_000, t, false)),
-            measure("stencil2d", threads, 3, |t| run_stencil(16, 8, 120, t, false)),
-            measure("leanmd", threads, 3, |t| run_leanmd(60, t, false)),
-            measure("pdes", threads, 3, |t| run_pdes(192, 40, t, false)),
+            measure("ping_pipe", threads, 3, |t| run_ping_pipe(8, 64, 10_000, t)),
+            measure("tram_flood", threads, 3, |t| run_tram_flood(16, 30_000, t)),
+            measure("stencil2d", threads, 3, |t| run_stencil(16, 8, 120, t)),
+            measure("leanmd", threads, 3, |t| run_leanmd(60, t)),
+            measure("pdes", threads, 3, |t| run_pdes(192, 40, t)),
         ]
     };
 

@@ -539,13 +539,9 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
                         std::any::type_name::<C::Msg>()
                     )
                 });
-                // Recycle the payload block (the send-side `box_payload`
-                // then reuses it — no allocator traffic per message).
-                let msg = if ctx.arena {
-                    crate::arena::take_box(boxed)
-                } else {
-                    *boxed
-                };
+                // Recycle the payload block (the send-side `alloc_box` in
+                // `Ctx` then reuses it — no allocator traffic per message).
+                let msg = crate::arena::take_box(boxed);
                 e.chare.on_message(msg, ctx);
             }
             Payload::Sys(ev) => e.chare.on_event(ev, ctx),

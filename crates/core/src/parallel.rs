@@ -1,25 +1,28 @@
 //! The parallel multi-worker engine: shard the simulated PEs across OS
 //! worker threads, synchronized by conservative lookahead windows.
 //!
-//! Two synchronization cores share the same sharding, exchange, and merge
-//! machinery:
+//! One synchronization core drives every sharded run. Every shard owns an
+//! atomic window clock and publishes its earliest pending virtual time; a
+//! shard's next safe horizon is `min over peers (peer pending + pairwise
+//! lookahead)`, where the pairwise lookahead matrix is the all-pairs
+//! closure of the per-shard-pair minimum network latency computed at plan
+//! time. Shards free-run many windows ahead of each other with no barrier
+//! at all; cross-shard messages flow continuously through per-pair
+//! mailboxes whose floor timestamps keep in-flight work visible to every
+//! horizon. Blocking happens only when a horizon is actually exhausted
+//! (parked wait, counted in [`RunSummary::barriers_waited`]) or when a
+//! boundary obligation forces a soft rendezvous at one specific window
+//! edge: a reduction fold's completion callback, an exit, or a state-digest
+//! point.
 //!
-//! * the **adaptive engine** (default): every shard owns an atomic window
-//!   clock and publishes its earliest pending virtual time; a shard's next
-//!   safe horizon is `min over peers (peer pending + pairwise lookahead)`,
-//!   where the pairwise lookahead matrix is the all-pairs closure of the
-//!   per-shard-pair minimum network latency computed at plan time. Shards
-//!   free-run many windows ahead of each other with no barrier at all;
-//!   cross-shard messages flow continuously through per-pair mailboxes
-//!   whose floor timestamps keep in-flight work visible to every horizon.
-//!   Blocking happens only when a horizon is actually exhausted (parked
-//!   wait, counted in [`RunSummary::barriers_waited`]) or when a boundary
-//!   obligation — a reduction fold's completion callback, an exit vote —
-//!   forces a soft rendezvous at one specific window edge.
-//! * the **global-window engine** ([`crate::RuntimeBuilder::global_window`],
-//!   and any run that records periodic state digests): all shards drain the
-//!   same α-sized window and meet at a full condvar barrier per edge — the
-//!   PR-5 core, kept as an A/B fallback against the same goldens.
+//! Runs that record periodic state digests
+//! ([`crate::ReplayConfig::digest_every`]) add a **digest hold**: every
+//! horizon is capped at the end of the α-cell holding the global minimum
+//! pending time — exactly the sequential engine's next window boundary.
+//! Once every clock reaches that edge, shard 0 decides whether a digest
+//! point is due there; if so, each shard deposits its chares' digests
+//! before the hold moves on to the next occupied cell. It is the same
+//! monotone-floor, α-cell-hold pattern the reduction callbacks use.
 //!
 //! ## How it stays byte-identical to sequential execution
 //!
@@ -129,8 +132,8 @@ pub(crate) struct ParShard {
     bounds: Arc<Vec<(usize, usize)>>,
     /// The run-global frozen location table.
     pub(crate) loc: Arc<LocTable>,
-    /// Cross-shard deliveries produced this window, per destination shard;
-    /// moved into the shared exchange at the window barrier.
+    /// Cross-shard deliveries produced since the last publish, per
+    /// destination shard; moved into the shared mailboxes at each publish.
     pub(crate) outbox: Vec<Vec<(SimTime, usize, Box<Envelope>)>>,
 }
 
@@ -154,7 +157,7 @@ pub(crate) struct ParPlan {
     dist: Vec<Vec<u64>>,
 }
 
-/// Plan-time lookahead computation for the adaptive engine, exposed as
+/// Plan-time lookahead computation for the sharded engine, exposed as
 /// pure functions so property tests can drive them with synthetic latency
 /// matrices and send schedules.
 pub mod lookahead {
@@ -162,7 +165,7 @@ pub mod lookahead {
 
     /// Above this PE count the exact O(n²) pairwise scan is skipped and
     /// every cross-shard pair falls back to the global minimum latency
-    /// (the adaptive engine then still elides barriers, it just grants
+    /// (the engine then still elides barriers, it just grants
     /// uniform-width horizons).
     pub const EXACT_PAIR_LIMIT: usize = 4096;
 
@@ -228,7 +231,7 @@ pub mod lookahead {
         m
     }
 
-    /// The horizon the adaptive engine grants shard `me`: every event
+    /// The horizon the sharded engine grants shard `me`: every event
     /// strictly before it is safe to execute, because nothing any peer has
     /// pending (`pending[j]`, `u64::MAX` = idle) can reach `me` sooner than
     /// its closed pairwise lookahead.
@@ -240,9 +243,9 @@ pub mod lookahead {
         b
     }
 
-    /// The global-α reference horizon (what the lockstep engine grants
-    /// every shard): the end of the α-cell containing the global minimum
-    /// pending time.
+    /// The global-α horizon: the end of the α-cell containing the global
+    /// minimum pending time — the sequential engine's next window boundary,
+    /// where a digest hold stops every shard.
     pub fn global_horizon(pending: &[u64], win: u64) -> u64 {
         let t_min = pending.iter().copied().min().unwrap_or(u64::MAX);
         if t_min == u64::MAX {
@@ -288,70 +291,10 @@ pub mod lookahead {
     }
 }
 
-/// A [`Condvar`] barrier with poisoning: when a worker panics it poisons
-/// the barrier instead of leaving the others blocked forever, so the panic
-/// (e.g. "at_sync is sequential-only") propagates to the caller promptly.
-struct PoisonBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    n: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-/// Marker returned from [`PoisonBarrier::wait`] when another worker died.
-struct Poisoned;
-
-impl PoisonBarrier {
-    fn new(n: usize) -> Self {
-        PoisonBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-            n,
-        }
-    }
-
-    fn wait(&self) -> Result<(), Poisoned> {
-        let mut g = self.state.lock().expect("barrier lock");
-        if g.poisoned {
-            return Err(Poisoned);
-        }
-        g.arrived += 1;
-        if g.arrived == self.n {
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = g.generation;
-        while g.generation == gen && !g.poisoned {
-            g = self.cv.wait(g).expect("barrier wait");
-        }
-        if g.poisoned {
-            Err(Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn poison(&self) {
-        self.state.lock().expect("barrier lock").poisoned = true;
-        self.cv.notify_all();
-    }
-}
-
 /// Shared inter-worker exchange for one parallel run.
 struct Shared {
     /// `inbox[to][from]`: cross-shard deliveries moved out of `from`'s
-    /// outbox at its window barrier, awaiting ingestion by `to`.
+    /// outbox at its last publish, awaiting ingestion by `to`.
     #[allow(clippy::type_complexity)]
     inbox: Vec<Vec<Mutex<Vec<(SimTime, usize, Box<Envelope>)>>>>,
     /// Per shard: earliest pending virtual time (own heap ∪ own outbox) as
@@ -359,19 +302,22 @@ struct Shared {
     next_time: Vec<AtomicU64>,
     /// Per shard: entries executed so far (drives digest-point scheduling).
     execs: Vec<AtomicU64>,
-    /// Per shard: buffered reduction contributions were published this round.
+    /// Per shard: buffered reduction contributions were published.
     has_contribs: Vec<AtomicBool>,
-    /// Per shard: a chare requested exit during the last window.
-    wants_exit: Vec<AtomicBool>,
     /// Contributions awaiting the boundary fold (consumed by shard 0).
     contrib_slots: Vec<Mutex<Vec<ContribRec>>>,
     /// Per-shard state digests of one due digest point (merged by shard 0).
     digest_slots: Vec<Mutex<Vec<(ObjId, u64)>>>,
-    /// Global executed-entry count at the last emitted digest point.
-    last_digest: AtomicU64,
-    barrier: PoisonBarrier,
-
-    // ----- adaptive engine (barrier-free) --------------------------------
+    /// Digest mode only: the α-cell end every horizon caps at until all
+    /// clocks reach it and shard 0 settles the digest point there.
+    /// `u64::MAX` = no hold (not recording digest points, or drained).
+    digest_hold: AtomicU64,
+    /// The hold edge at which shard 0 asked every shard to deposit its
+    /// state digest (`u64::MAX` = never asked). Edges only grow, so a shard
+    /// deposits once per request by remembering the last edge it served.
+    digest_req: AtomicU64,
+    /// Deposits received for the current request, shard 0's included.
+    digest_acks: AtomicUsize,
     /// Per shard: window clock — every local event strictly before it has
     /// executed, and its sends/contributions are flushed. Monotone.
     clock: Vec<AtomicU64>,
@@ -565,8 +511,11 @@ impl Runtime {
             self.cur_win_end
         };
 
-        let digest_every = self.recorder.as_ref().and_then(|r| r.cfg.digest_every);
-        let exec_offset = self.recorder.as_ref().map_or(0, |r| r.execs_len());
+        let digest_mode = self
+            .recorder
+            .as_ref()
+            .is_some_and(|r| r.cfg.digest_every.is_some());
+        let exec_offset = self.recorded_execs();
 
         // ----- split ---------------------------------------------------------
         let bounds_arc = Arc::new(bounds.clone());
@@ -588,13 +537,7 @@ impl Runtime {
         let mut shard_rts: Vec<Runtime> = Vec::with_capacity(shards);
         for (s, evs) in shard_events.into_iter().enumerate() {
             let (lo, hi) = bounds[s];
-            // Shards inherit the parent's backend choice so a classic-hotpath
-            // A/B run is classic end to end.
-            let mut events = if self.events.is_heap_backed() {
-                EventQueue::heap_backed_with_capacity(evs.len().max(8))
-            } else {
-                EventQueue::with_capacity(evs.len().max(8))
-            };
+            let mut events = EventQueue::with_capacity(evs.len().max(8));
             for (t, k, ev) in evs {
                 events.push_keyed(t, k, ev);
             }
@@ -680,7 +623,8 @@ impl Runtime {
                 pending_contribs: Vec::new(),
                 cur_win_end: w0,
                 win_ns: self.win_ns,
-                last_digest_seq: 0,
+                // Shard 0 decides digest points, so it carries the count.
+                last_digest_seq: if s == 0 { self.last_digest_seq } else { 0 },
                 par: Some(Box::new(ParShard {
                     shard: s,
                     lo,
@@ -694,14 +638,12 @@ impl Runtime {
                 last_run_parallel: false,
                 reconfig_overhead_shrink: self.reconfig_overhead_shrink,
                 reconfig_overhead_expand: self.reconfig_overhead_expand,
-                arena_enabled: self.arena_enabled,
                 // Workers recycle through their own thread-local pools; the
                 // base snapshot is meaningless across threads, so shard
                 // summaries report arena deltas as best-effort only.
                 arena_base: crate::arena::ArenaStats::default(),
                 entry_name_cache: FxHashMap::default(),
                 shard_queue_ops: 0,
-                global_window: false,
                 sync_windows: 0,
                 sync_width_ns: 0,
                 sync_waits: 0,
@@ -711,11 +653,6 @@ impl Runtime {
         }
 
         // ----- run -----------------------------------------------------------
-        // The adaptive (barrier-free) engine handles every plain run; the
-        // lockstep engine remains for runs that record periodic state
-        // digests (those need an exact global cut at specific α-cells) and
-        // for explicit A/B fallback via `RuntimeBuilder::global_window`.
-        let adaptive = digest_every.is_none() && !self.global_window;
         // Lower bound on (completion-callback delivery − contribution merge
         // time): the fold prices log_k(P) tree hops of ≥ α each.
         let cb_min = self.tree_depth().saturating_mul(self.win_ns).max(self.win_ns);
@@ -732,11 +669,12 @@ impl Runtime {
                 .collect(),
             execs: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             has_contribs: (0..shards).map(|_| AtomicBool::new(false)).collect(),
-            wants_exit: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             contrib_slots: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             digest_slots: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            last_digest: AtomicU64::new(self.last_digest_seq),
-            barrier: PoisonBarrier::new(shards),
+            // The first hold is the end of the window the run starts in.
+            digest_hold: AtomicU64::new(if digest_mode { w0.0 } else { u64::MAX }),
+            digest_req: AtomicU64::new(u64::MAX),
+            digest_acks: AtomicUsize::new(0),
             clock: (0..shards).map(|_| AtomicU64::new(w_base)).collect(),
             epoch: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             mbox_min: (0..shards)
@@ -760,14 +698,9 @@ impl Runtime {
                 .map(|(s, rt)| {
                     scope.spawn(move || {
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            if adaptive {
-                                worker_adaptive(rt, shared, shards, s, dist, cb_min)
-                            } else {
-                                worker(rt, shared, shards, s, exec_offset, digest_every)
-                            }
+                            shard_worker(rt, shared, shards, s, dist, cb_min, exec_offset)
                         }));
                         if out.is_err() {
-                            shared.barrier.poison();
                             shared.finish();
                         }
                         out
@@ -811,6 +744,7 @@ impl Runtime {
                 let red = self.red_slot();
                 self.keys[red] = rt.keys[red];
                 self.reductions = std::mem::take(&mut rt.reductions);
+                self.last_digest_seq = rt.last_digest_seq;
             }
             for (a, st) in rt.stores.drain(..).enumerate() {
                 self.stores[a].absorb(st);
@@ -892,182 +826,13 @@ impl Runtime {
         self.now = final_now;
         self.cur_win_end = final_win;
         self.exit_requested = any_exit;
-        self.last_digest_seq = shared.last_digest.load(Ordering::Relaxed);
         self.last_run_parallel = true;
         self.wall_run += wall_start.elapsed();
         self.summary()
     }
 }
 
-/// One worker: repeatedly drain a conservative window on the shard's own
-/// heap, then synchronize. Per round:
-///
-/// 1. **Publish** — compute the shard's earliest pending time (heap head ∪
-///    outbox) *before* moving the outbox into the shared exchange, so every
-///    in-flight message is counted by exactly one published horizon; post
-///    exec counts and contribution/exit flags.
-/// 2. **Barrier A**, then every worker reads all published values and
-///    derives identical decisions (exit? fold? digest? next window?).
-/// 3. **Boundary work** (only if some shard buffered contributions or a
-///    digest point is due): shard 0 folds all contributions in dispatch
-///    order and emits the merged digest point, then republishes its horizon
-///    (folding schedules callbacks). Bracketed by barriers B and C.
-/// 4. **Barrier D** ends the read phase — after it, no worker reads the
-///    published values again this round, so the next round's publishes
-///    cannot race them.
-/// 5. **Ingest** cross-shard deliveries and advance to the window after the
-///    global minimum time.
-///
-/// Cross-shard arrivals always land at or after the *end* of the window
-/// that produced them (delay ≥ α), so ingesting between barriers — even one
-/// round late on a racy interleaving of steps 5 and 1 — can never introduce
-/// an event into a window that has already been drained.
-fn worker(
-    mut rt: Runtime,
-    sh: &Shared,
-    shards: usize,
-    s: usize,
-    exec_offset: u64,
-    digest_every: Option<u64>,
-) -> Runtime {
-    let mut batch: Vec<(u64, Ev)> = Vec::new();
-    let mut w_end = rt.cur_win_end;
-    loop {
-        rt.drain_window(w_end, &mut batch);
-
-        // --- publish ---------------------------------------------------------
-        let mut local_min = rt.events.peek_time().map_or(u64::MAX, |t| t.0);
-        {
-            let par = rt.par.as_mut().expect("shard mode");
-            for (dst, ob) in par.outbox.iter_mut().enumerate() {
-                if ob.is_empty() {
-                    continue;
-                }
-                for (t, _, _) in ob.iter() {
-                    local_min = local_min.min(t.0);
-                }
-                sh.inbox[dst][s].lock().expect("inbox lock").append(ob);
-            }
-        }
-        let contribs_here = !rt.pending_contribs.is_empty();
-        if contribs_here {
-            sh.contrib_slots[s]
-                .lock()
-                .expect("contrib lock")
-                .append(&mut rt.pending_contribs);
-        }
-        sh.next_time[s].store(local_min, Ordering::Relaxed);
-        sh.execs[s].store(rt.entries, Ordering::Relaxed);
-        sh.has_contribs[s].store(contribs_here, Ordering::Relaxed);
-        sh.wants_exit[s].store(rt.exit_requested, Ordering::Relaxed);
-        rt.sync_waits += 1;
-        if sh.barrier.wait().is_err() {
-            return rt; // another worker panicked; unwind quietly
-        }
-
-        // --- read + decide (identically on every worker) ---------------------
-        // A requested exit stops the run at the end of the current window,
-        // before any boundary work — the sequential loop's exact rule.
-        if (0..shards).any(|i| sh.wants_exit[i].load(Ordering::Relaxed)) {
-            return rt;
-        }
-        let any_contrib = (0..shards).any(|i| sh.has_contribs[i].load(Ordering::Relaxed));
-        let total_execs =
-            exec_offset + (0..shards).map(|i| sh.execs[i].load(Ordering::Relaxed)).sum::<u64>();
-        let digest_due = digest_every
-            .is_some_and(|every| total_execs - sh.last_digest.load(Ordering::Relaxed) >= every);
-        let mut t_min = (0..shards)
-            .map(|i| sh.next_time[i].load(Ordering::Relaxed))
-            .min()
-            .expect("at least one shard");
-
-        // --- boundary work ---------------------------------------------------
-        if any_contrib || digest_due {
-            if digest_due {
-                let d = rt.state_digest();
-                *sh.digest_slots[s].lock().expect("digest lock") = d;
-            }
-            rt.sync_waits += 1;
-            if sh.barrier.wait().is_err() {
-                return rt;
-            }
-            if s == 0 {
-                let mut recs = Vec::new();
-                for slot in &sh.contrib_slots {
-                    recs.append(&mut slot.lock().expect("contrib lock"));
-                }
-                rt.pending_contribs = recs;
-                rt.fold_contributions();
-                if digest_due {
-                    let mut digests = Vec::new();
-                    for slot in &sh.digest_slots {
-                        digests.append(&mut slot.lock().expect("digest lock"));
-                    }
-                    // Global (array, index) order == the order the
-                    // sequential `state_digest` enumerates.
-                    digests.sort_unstable_by_key(|&(obj, _)| obj);
-                    if let Some(r) = &mut rt.recorder {
-                        r.push_state_point_at(total_execs, SimTime(w_end.0), digests);
-                    }
-                    sh.last_digest.store(total_execs, Ordering::Relaxed);
-                }
-                // Folding scheduled completion callbacks — to this shard's
-                // heap and to the outbox. Flush and republish the horizon.
-                let mut m = rt.events.peek_time().map_or(u64::MAX, |t| t.0);
-                let par = rt.par.as_mut().expect("shard mode");
-                for (dst, ob) in par.outbox.iter_mut().enumerate() {
-                    if ob.is_empty() {
-                        continue;
-                    }
-                    for (t, _, _) in ob.iter() {
-                        m = m.min(t.0);
-                    }
-                    sh.inbox[dst][0].lock().expect("inbox lock").append(ob);
-                }
-                sh.next_time[0].store(m, Ordering::Relaxed);
-            }
-            rt.sync_waits += 1;
-            if sh.barrier.wait().is_err() {
-                return rt;
-            }
-            t_min = t_min.min(sh.next_time[0].load(Ordering::Relaxed));
-        }
-
-        // --- end of read phase -----------------------------------------------
-        rt.sync_waits += 1;
-        if sh.barrier.wait().is_err() {
-            return rt;
-        }
-        if t_min == u64::MAX {
-            return rt; // globally drained
-        }
-
-        // --- ingest + advance ------------------------------------------------
-        for from in 0..shards {
-            let mut items = sh.inbox[s][from].lock().expect("inbox lock");
-            for (t, pe, env) in items.drain(..) {
-                rt.inflight += 1;
-                let k = env.rec_id;
-                rt.events.push_keyed(t, k, Ev::Deliver { pe, env });
-            }
-        }
-        let next = SimTime(
-            (t_min / rt.win_ns)
-                .saturating_add(1)
-                .saturating_mul(rt.win_ns),
-        );
-        // Window accounting on shard 0 only: all shards advance the same
-        // global window, so per-shard counts would just multiply by the
-        // shard count.
-        if s == 0 {
-            rt.sync_windows += 1;
-            rt.sync_width_ns += next.0.saturating_sub(w_end.0);
-        }
-        w_end = next;
-    }
-}
-
-// ----- the adaptive (barrier-free) engine ------------------------------------
+// ----- the worker loop ------------------------------------------------------
 
 /// How many `yield_now` rounds a starved shard spins before parking on the
 /// condvar. On oversubscribed hosts the yield usually *is* the wakeup (it
@@ -1086,10 +851,12 @@ fn epoch_sum(sh: &Shared, shards: usize) -> u64 {
 }
 
 /// Flush shard `s`'s outboxes and buffered contributions, then publish its
-/// pending time, window clock, and exec count. The order is the adaptive
-/// engine's core invariant: *flush before publish*, so any state a peer
-/// reads already accounts for everything this shard pushed toward it.
-fn publish_adaptive(rt: &mut Runtime, sh: &Shared, s: usize, clock: u64) {
+/// pending time, exec count, and window clock. The order is the engine's
+/// core invariant: *flush before publish*, so any state a peer reads
+/// already accounts for everything this shard pushed toward it. The exec
+/// count precedes the clock, so a folder that sees every clock at a digest
+/// hold also sees the exec counts that go with it.
+fn publish(rt: &mut Runtime, sh: &Shared, s: usize, clock: u64) {
     let par = rt.par.as_mut().expect("shard mode");
     for (dst, ob) in par.outbox.iter_mut().enumerate() {
         if ob.is_empty() {
@@ -1115,13 +882,13 @@ fn publish_adaptive(rt: &mut Runtime, sh: &Shared, s: usize, clock: u64) {
     }
     let n = rt.events.peek_time().map_or(u64::MAX, |t| t.0);
     sh.next_time[s].store(n, Ordering::SeqCst);
-    sh.clock[s].store(clock, Ordering::SeqCst);
     sh.execs[s].store(rt.entries, Ordering::SeqCst);
+    sh.clock[s].store(clock, Ordering::SeqCst);
     sh.epoch[s].fetch_add(1, Ordering::SeqCst);
     sh.notify();
 }
 
-/// Folder-only (shard 0) state for the adaptive engine.
+/// Folder-only (shard 0) state.
 #[derive(Default)]
 struct Folder {
     /// Contributions collected from every shard, not yet folded.
@@ -1131,6 +898,36 @@ struct Folder {
     holds: Vec<u64>,
     /// Scratch for the termination detector's epoch double scan.
     epochs: Vec<u64>,
+    /// Recorded execs before this run (the parent's recorder), so digest
+    /// points carry the global exec count.
+    exec_offset: u64,
+    /// Contributions were folded since the digest hold last moved: the
+    /// sequential engine has boundary work at the held edge even if
+    /// nothing is pending after it.
+    folded: bool,
+    /// A digest point requested at the current hold, awaiting deposits:
+    /// its global exec count.
+    digest_execs: Option<u64>,
+}
+
+/// Earliest pending time over every shard's heap and mailbox. Pending
+/// times are read on both sides of the mailbox floors: a shard draining a
+/// mailbox covers the batch with its own pending time before clearing the
+/// floor, so one of the two passes always sees those messages.
+fn min_pending(sh: &Shared, shards: usize) -> u64 {
+    let mut m = u64::MAX;
+    for j in 0..shards {
+        m = m.min(sh.next_time[j].load(Ordering::SeqCst));
+    }
+    for j in 0..shards {
+        for from in 0..shards {
+            m = m.min(sh.mbox_min[j][from].load(Ordering::SeqCst));
+        }
+    }
+    for j in 0..shards {
+        m = m.min(sh.next_time[j].load(Ordering::SeqCst));
+    }
+    m
 }
 
 /// Fold a batch of contributions on shard 0, registering an α-cell hold for
@@ -1196,19 +993,8 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
     // flush before the pending-time store, so anything not collected below
     // comes from an exec at or after some pending time read here — which
     // makes the derived `red_floor` a true floor on every future callback
-    // origin. Same double-read discipline as the worker's horizon scan.
-    let mut min_p = u64::MAX;
-    for j in 0..shards {
-        min_p = min_p.min(sh.next_time[j].load(Ordering::SeqCst));
-    }
-    for j in 0..shards {
-        for from in 0..shards {
-            min_p = min_p.min(sh.mbox_min[j][from].load(Ordering::SeqCst));
-        }
-    }
-    for j in 0..shards {
-        min_p = min_p.min(sh.next_time[j].load(Ordering::SeqCst));
-    }
+    // origin.
+    let min_p = min_pending(sh, shards);
     // Clocks BEFORE slots: every publish flushes contributions before it
     // stores the clock, so any contribution from below a clock value read
     // here is guaranteed to be sitting in a slot by the time we collect.
@@ -1253,6 +1039,7 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
         }
         st.buf = rest;
         sched_min = fold_batch(rt, sh, pre, win, st);
+        st.folded = true;
         changed = true;
     }
 
@@ -1284,6 +1071,14 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
         }
     }
 
+    // Settle the digest hold once every shard stands at it. An exit cut
+    // never exceeds the hold (no horizon passes it), and the sequential
+    // engine breaks at an exit cell without boundary work: no digest then.
+    let edge = sh.digest_hold.load(Ordering::SeqCst);
+    if cut == u64::MAX && edge != u64::MAX && min_w >= edge {
+        changed |= digest_step(rt, sh, shards, win, st, edge);
+    }
+
     if cut != u64::MAX {
         // Exit: over once every shard's clock reaches the cut cell.
         if min_w >= cut {
@@ -1307,7 +1102,9 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
             let stable = (0..shards)
                 .all(|j| sh.epoch[j].load(Ordering::SeqCst) == st.epochs[j])
                 && (0..shards).all(|j| sh.next_time[j].load(Ordering::SeqCst) == u64::MAX);
-            if stable {
+            // An outstanding digest hold still owes its decision (and,
+            // when contributions were folded in the held cell, a point).
+            if stable && sh.digest_hold.load(Ordering::SeqCst) == u64::MAX {
                 if !st.buf.is_empty() {
                     // Every heap is quiet but contributions remain: the
                     // sequential engine folds them all at its quiet-heap
@@ -1329,7 +1126,66 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
     }
 }
 
-/// One adaptive worker. Per iteration: snapshot every peer's published
+/// Shard 0's decision at a digest hold `edge` that every clock has
+/// reached. Nothing below `edge` is left to run and nothing at or above it
+/// has run, so the shards' chare states are exactly the sequential state
+/// at that window boundary. The sequential engine emits a point there when
+/// it has boundary work (a pending event, or contributions folded in the
+/// held cell) and [`Runtime::digest_due`] holds for the global exec count.
+/// A due point is settled in two passes: request the deposits, then merge
+/// them once every shard has answered. Either way the hold then moves to
+/// the end of the next occupied α-cell. Returns whether shared state
+/// changed.
+fn digest_step(
+    rt: &mut Runtime,
+    sh: &Shared,
+    shards: usize,
+    win: u64,
+    st: &mut Folder,
+    edge: u64,
+) -> bool {
+    if let Some(execs) = st.digest_execs {
+        if sh.digest_acks.load(Ordering::SeqCst) < shards {
+            return false;
+        }
+        let mut digests = Vec::new();
+        for slot in &sh.digest_slots {
+            digests.append(&mut slot.lock().expect("digest lock"));
+        }
+        // Global (array, index) order == the order the sequential
+        // `state_digest` enumerates.
+        digests.sort_unstable_by_key(|&(obj, _)| obj);
+        if let Some(r) = &mut rt.recorder {
+            r.push_state_point_at(execs, SimTime(edge), digests);
+        }
+        rt.last_digest_seq = execs;
+        st.digest_execs = None;
+    } else {
+        let execs = st.exec_offset
+            + (0..shards)
+                .map(|j| sh.execs[j].load(Ordering::SeqCst))
+                .sum::<u64>();
+        let boundary = st.folded || min_pending(sh, shards) != u64::MAX;
+        if boundary && rt.digest_due(execs) {
+            // Ask first, then digest this shard's own chares: the shards
+            // pack their states in parallel.
+            st.digest_execs = Some(execs);
+            sh.digest_acks.store(0, Ordering::SeqCst);
+            sh.digest_req.store(edge, Ordering::SeqCst);
+            sh.epoch[0].fetch_add(1, Ordering::SeqCst);
+            sh.notify();
+            *sh.digest_slots[0].lock().expect("digest lock") = rt.state_digest();
+            sh.digest_acks.fetch_add(1, Ordering::SeqCst);
+            return true;
+        }
+    }
+    st.folded = false;
+    let next = lookahead::global_horizon(&[min_pending(sh, shards)], win);
+    sh.digest_hold.store(next, Ordering::SeqCst);
+    true
+}
+
+/// One shard's worker loop. Per iteration: snapshot every peer's published
 /// progress (double-reading around the mailbox floors), ingest this
 /// shard's mailboxes, grant itself the horizon
 ///
@@ -1337,7 +1193,8 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
 /// B = min( min_j  pending_j + dist[j][s],   // lookahead closure
 ///          red_floor + cb_min,              // unscheduled fold callbacks
 ///          cb_hold,                         // scheduled fold callbacks
-///          exit_cut )                       // a shard saw ctx.exit()
+///          exit_cut,                        // a shard saw ctx.exit()
+///          digest_hold )                    // next digest-point boundary
 /// ```
 ///
 /// then drain complete α-cells below `B`, publishing mid-grant whenever
@@ -1347,21 +1204,28 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
 /// shards free-run for as many cells as their horizons allow, and
 /// [`RunSummary::barriers_elided`] counts every cell edge crossed without
 /// blocking.
-fn worker_adaptive(
+fn shard_worker(
     mut rt: Runtime,
     sh: &Shared,
     shards: usize,
     s: usize,
     dist: &[Vec<u64>],
     cb_min: u64,
+    exec_offset: u64,
 ) -> Runtime {
     let win = rt.win_ns;
     let mut batch: Vec<(u64, Ev)> = Vec::new();
     let mut my_w = sh.clock[s].load(Ordering::SeqCst);
+    // Clock value up to which α-cell edges were counted (elided or paid).
+    let mut counted_to = my_w;
+    let mut served_req = u64::MAX;
     let mut pend: Vec<u64> = vec![u64::MAX; shards];
     let mut spins = 0u32;
     let mut parked = false;
-    let mut fold = (s == 0).then(Folder::default);
+    let mut fold = (s == 0).then(|| Folder {
+        exec_offset,
+        ..Folder::default()
+    });
 
     loop {
         if sh.done.load(Ordering::SeqCst) {
@@ -1373,6 +1237,19 @@ fn worker_adaptive(
             if sh.done.load(Ordering::SeqCst) {
                 break;
             }
+        } else {
+            // Deposit this shard's digests for a requested point. The
+            // request comes only once every clock stands at the hold, so
+            // the chare states are the ones at that boundary.
+            let req = sh.digest_req.load(Ordering::SeqCst);
+            if req != served_req {
+                debug_assert_eq!(my_w, req, "digest requested off the hold");
+                *sh.digest_slots[s].lock().expect("digest lock") = rt.state_digest();
+                served_req = req;
+                sh.digest_acks.fetch_add(1, Ordering::SeqCst);
+                sh.epoch[s].fetch_add(1, Ordering::SeqCst);
+                sh.notify();
+            }
         }
 
         // --- snapshot --------------------------------------------------------
@@ -1382,6 +1259,7 @@ fn worker_adaptive(
         let floor = sh.red_floor.load(Ordering::SeqCst);
         let hold = sh.cb_hold.load(Ordering::SeqCst);
         let cut = sh.exit_cut.load(Ordering::SeqCst);
+        let digest_hold = sh.digest_hold.load(Ordering::SeqCst);
         for (j, p) in pend.iter_mut().enumerate() {
             *p = sh.next_time[j].load(Ordering::SeqCst);
         }
@@ -1426,7 +1304,11 @@ fn worker_adaptive(
         // --- horizon ---------------------------------------------------------
         pend[s] = rt.events.peek_time().map_or(u64::MAX, |t| t.0);
         let mut b = lookahead::horizon(dist, &pend, s);
-        b = b.min(floor.saturating_add(cb_min)).min(hold).min(cut);
+        b = b
+            .min(floor.saturating_add(cb_min))
+            .min(hold)
+            .min(cut)
+            .min(digest_hold);
 
         // --- drain complete α-cells under the horizon ------------------------
         let mut drained = false;
@@ -1453,7 +1335,7 @@ fn worker_adaptive(
                 par.outbox.iter().any(|ob| !ob.is_empty()) || !rt.pending_contribs.is_empty()
             };
             if flush {
-                publish_adaptive(&mut rt, sh, s, cell_end);
+                publish(&mut rt, sh, s, cell_end);
                 sent = true;
             }
         }
@@ -1464,25 +1346,36 @@ fn worker_adaptive(
         let clock_moved = new_clock > my_w;
         if clock_moved {
             // A drained shard under an unbounded horizon publishes
-            // `u64::MAX`; count width and cells only up to the end of the
-            // cell holding its last real event, not to the end of time.
-            let counted = if new_clock == u64::MAX {
-                my_w.max(rt.win_end_after(rt.now).0)
+            // `u64::MAX`; count width only up to the end of the cell
+            // holding its last real event, not to the end of time.
+            let last_cell = rt.win_end_after(rt.now).0;
+            let width_to = if new_clock == u64::MAX {
+                my_w.max(last_cell)
             } else {
                 new_clock
             };
             rt.sync_windows += 1;
-            rt.sync_width_ns += counted - my_w;
-            if !parked {
+            rt.sync_width_ns += width_to - my_w;
+            if parked {
+                // The wait paid for these edges.
+                counted_to = counted_to.max(new_clock);
+            } else {
                 // Every α-cell edge crossed without blocking is a barrier
-                // the lockstep engine would have paid four waits for.
-                rt.sync_elided += counted / win - my_w / win;
+                // a lockstep engine would have waited at. An idle shard's
+                // clock can run past its own work under a finite horizon
+                // too, so count each edge once and only up to the end of
+                // the cell holding this shard's latest executed event.
+                let upto = new_clock.min(last_cell);
+                if upto > counted_to {
+                    rt.sync_elided += upto / win - counted_to / win;
+                    counted_to = upto;
+                }
             }
             parked = false;
             my_w = new_clock;
         }
         if drained || sent || clock_moved || new_n != sh.next_time[s].load(Ordering::SeqCst) {
-            publish_adaptive(&mut rt, sh, s, my_w);
+            publish(&mut rt, sh, s, my_w);
             spins = 0;
             continue;
         }

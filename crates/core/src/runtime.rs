@@ -273,19 +273,20 @@ pub struct RunSummary {
     /// allocator (this thread, since the runtime was built).
     pub arena_bytes: u64,
     /// Global-allocator calls the arena absorbed (pool hits on allocation
-    /// plus recycled frees). Zero when built with `classic_hotpath(true)`.
+    /// plus recycled frees).
     pub alloc_bypass: u64,
     /// Lookahead windows committed by the engine: every time a drain
     /// horizon advanced (sequential window jumps, parallel per-shard
     /// horizon grants). Summed over shards in parallel mode.
     pub windows_executed: u64,
-    /// Blocking synchronizations actually paid: condvar barrier arrivals
-    /// in the global-window engine, parked waits in the adaptive engine.
-    /// Always 0 for a sequential run.
+    /// Blocking synchronizations actually paid: parked waits of a shard
+    /// whose horizon ran out. Always 0 for a sequential run.
     pub barriers_waited: u64,
     /// Window edges crossed *without* blocking: horizon advances the
-    /// adaptive engine granted from peer clocks alone where the
-    /// global-window engine would have paid a barrier. 0 sequentially.
+    /// sharded engine granted from peer clocks alone where a lockstep
+    /// engine would have paid a barrier. Each shard counts an edge once,
+    /// and only up to the end of the α-cell holding its latest executed
+    /// event. 0 sequentially.
     pub barriers_elided: u64,
     /// Mean committed-horizon advance in ns (total virtual time covered by
     /// windows / `windows_executed`). The global worst case is `win_ns`
@@ -345,8 +346,6 @@ pub struct RuntimeBuilder {
     perturb: Option<PerturbConfig>,
     threads: usize,
     elastic: Option<crate::elastic::ElasticConfig>,
-    classic_hotpath: bool,
-    global_window: bool,
 }
 
 impl RuntimeBuilder {
@@ -488,29 +487,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Run on the pre-overhaul hot path: the classic `BinaryHeap` event
-    /// queue and plain global-allocator boxing instead of the calendar
-    /// queue + arena recycling. Ordering and results are identical by
-    /// contract — this knob exists so regression tests (and bisection) can
-    /// A/B the two hot paths against the same golden recordings.
-    pub fn classic_hotpath(mut self, classic: bool) -> Self {
-        self.classic_hotpath = classic;
-        self
-    }
-
-    /// Run parallel workers on the PR-5-era global-window engine: every
-    /// shard drains the same α-sized window and synchronizes at a full
-    /// condvar barrier per window edge, instead of the adaptive per-shard
-    /// horizons with elided barriers. Results are byte-identical by
-    /// contract — the knob exists so regression tests (and bisection) can
-    /// A/B the two synchronization cores against the same goldens, exactly
-    /// like [`classic_hotpath`](Self::classic_hotpath) does for the event
-    /// queue. No effect on sequential runs.
-    pub fn global_window(mut self, global: bool) -> Self {
-        self.global_window = global;
-        self
-    }
-
     /// Construct the runtime.
     pub fn build(self) -> Runtime {
         let n = self.machine.num_pes;
@@ -525,11 +501,7 @@ impl RuntimeBuilder {
         };
         // Pre-size for a few in-flight events per PE; saves the first
         // handful of heap reallocations on every run.
-        let mut events = if self.classic_hotpath {
-            EventQueue::heap_backed_with_capacity(8 * n)
-        } else {
-            EventQueue::with_capacity(8 * n)
-        };
+        let mut events = EventQueue::with_capacity(8 * n);
         // Schedule injected failures and the DVFS sampler. A preemption
         // becomes visible at its announcement time (warning before the
         // kill); its warn key is allocated before its kill key, so a
@@ -662,11 +634,9 @@ impl RuntimeBuilder {
             last_run_parallel: false,
             reconfig_overhead_shrink: SimTime::from_secs_f64(2.0),
             reconfig_overhead_expand: SimTime::from_secs_f64(6.5),
-            arena_enabled: !self.classic_hotpath,
             arena_base: crate::arena::stats(),
             entry_name_cache: FxHashMap::default(),
             shard_queue_ops: 0,
-            global_window: self.global_window,
             sync_windows: 0,
             sync_width_ns: 0,
             sync_waits: 0,
@@ -812,9 +782,6 @@ pub struct Runtime {
     pub reconfig_overhead_shrink: SimTime,
     /// Modeled process start-up/reconnect cost on expand (paper: 7.2 s).
     pub reconfig_overhead_expand: SimTime,
-    /// Recycle envelopes and payload boxes through [`crate::arena`]
-    /// (default on; [`RuntimeBuilder::classic_hotpath`] turns it off).
-    pub(crate) arena_enabled: bool,
     /// This thread's arena counters when the runtime was built; `summary()`
     /// reports the delta.
     pub(crate) arena_base: crate::arena::ArenaStats,
@@ -827,21 +794,17 @@ pub struct Runtime {
     /// Event-queue operations performed by parallel shards' own queues,
     /// carried into [`RunSummary::queue_ops`] when the shards merge back.
     pub(crate) shard_queue_ops: u64,
-    /// Force parallel workers onto the global-window (full-barrier) engine
-    /// ([`RuntimeBuilder::global_window`]); A/B fallback for the adaptive
-    /// per-shard-pair lookahead core.
-    pub(crate) global_window: bool,
     /// Lookahead windows committed (drain-horizon advances) — see
     /// [`RunSummary::windows_executed`].
     pub(crate) sync_windows: u64,
     /// Total committed-horizon advance in ns, for `avg_window_width`.
     pub(crate) sync_width_ns: u64,
-    /// Blocking waits paid (barrier arrivals / parked waits).
+    /// Blocking waits paid (parked waits of a sharded run).
     pub(crate) sync_waits: u64,
-    /// Window edges crossed without blocking (adaptive engine only).
+    /// Window edges crossed without blocking (sharded runs only).
     pub(crate) sync_elided: u64,
     /// When `Some`, [`Runtime::deliver_sys_tree`] logs every scheduled
-    /// delivery time into it. The adaptive parallel folder arms this
+    /// delivery time into it. The parallel folder arms this
     /// around reduction folds to learn which α-cells hold completion
     /// callbacks (its soft-rendezvous points); `None` everywhere else.
     pub(crate) cb_log: Option<Vec<u64>>,
@@ -869,8 +832,6 @@ impl Runtime {
             perturb: None,
             threads: crate::parallel::default_threads(),
             elastic: None,
-            classic_hotpath: false,
-            global_window: false,
         }
     }
 
@@ -966,7 +927,7 @@ impl Runtime {
         if let Some(r) = &mut self.recorder {
             r.note_origin(rec_id); // external origin: no current exec
         }
-        let env = self.alloc_env(Envelope {
+        let env = crate::arena::alloc_box(Envelope {
             dst: ObjId {
                 array: proxy.id,
                 ix,
@@ -1001,7 +962,7 @@ impl Runtime {
             if let Some(r) = &mut self.recorder {
                 r.note_origin(rec_id);
             }
-            let env = self.alloc_env(Envelope {
+            let env = crate::arena::alloc_box(Envelope {
                 dst: ObjId {
                     array: proxy.id,
                     ix,
@@ -1049,7 +1010,7 @@ impl Runtime {
                 r.note_origin(rec_id);
                 r.on_routed(rec_id, bytes, 0, pe, depth, 0);
             }
-            let env = self.alloc_env(Envelope {
+            let env = crate::arena::alloc_box(Envelope {
                 dst,
                 payload: Payload::User(Box::new(msg.clone())),
                 bytes,
@@ -1179,14 +1140,6 @@ impl Runtime {
         self.threads = n.max(1);
     }
 
-    /// Force the sharded engine onto the global-window lockstep fallback
-    /// (the pre-adaptive synchronization scheme). A/B knob: both engines
-    /// are byte-identical to sequential, so flipping this may only change
-    /// wall-clock time and the window counters, never results.
-    pub fn set_global_window(&mut self, on: bool) {
-        self.global_window = on;
-    }
-
     /// Schedule a malleable reconfiguration (shrink or expand) at `at`.
     pub fn schedule_reconfigure(&mut self, at: SimTime, to_pes: usize) {
         assert!(to_pes >= 1 && to_pes <= self.machine.num_pes);
@@ -1253,7 +1206,7 @@ impl Runtime {
                 // nothing observable happens, so jump the window straight
                 // to the one containing `t`. With α-sized windows this is
                 // the common case and keeps boundary cost off the hot path.
-                if self.pending_contribs.is_empty() && !self.digest_due() {
+                if self.pending_contribs.is_empty() && !self.digest_due(self.recorded_execs()) {
                     let w = self.win_end_after(t);
                     self.sync_windows += 1;
                     self.sync_width_ns += w.0.saturating_sub(self.cur_win_end.0);
@@ -1320,28 +1273,31 @@ impl Runtime {
         self.cur_win_end = w_end;
     }
 
+    /// Entries recorded so far (0 when not recording).
+    pub(crate) fn recorded_execs(&self) -> u64 {
+        self.recorder.as_ref().map_or(0, |r| r.execs_len())
+    }
+
+    /// Is a periodic state-digest point due at a window boundary reached
+    /// after `execs` recorded entries in total? The sequential boundary
+    /// passes its recorder's count; the parallel folder passes the sum over
+    /// all shards.
+    pub(crate) fn digest_due(&self, execs: u64) -> bool {
+        self.recorder
+            .as_ref()
+            .and_then(|r| r.cfg.digest_every)
+            .is_some_and(|n| execs - self.last_digest_seq >= n)
+    }
+
     /// Window-boundary bookkeeping: fold buffered reduction contributions
     /// and emit a state-digest point when one is due. The boundary sequence
     /// (and thus the fold and digest points) is identical in sequential and
     /// parallel mode.
-    /// Is a periodic state-digest point due at the next window boundary?
-    fn digest_due(&self) -> bool {
-        self.recorder.as_ref().is_some_and(|r| {
-            r.cfg
-                .digest_every
-                .is_some_and(|n| r.execs_len() - self.last_digest_seq >= n)
-        })
-    }
-
     pub(crate) fn boundary_work(&mut self) {
         let boundary = self.cur_win_end;
         self.fold_contributions();
-        let due = self.recorder.as_ref().and_then(|r| {
-            let n = r.cfg.digest_every?;
-            let execs = r.execs_len();
-            (execs - self.last_digest_seq >= n).then_some(execs)
-        });
-        if let Some(execs) = due {
+        let execs = self.recorded_execs();
+        if self.digest_due(execs) {
             self.last_digest_seq = execs;
             let digests = self.state_digest();
             if let Some(r) = &mut self.recorder {
@@ -1608,18 +1564,6 @@ impl Runtime {
         self.events.push_keyed(t, k, ev);
     }
 
-    /// Box an envelope, recycling a pooled block when the arena is on.
-    /// Paired with the `take_box` in [`Runtime::execute`]: together they
-    /// make steady-state dispatch free of global-allocator calls.
-    #[inline]
-    pub(crate) fn alloc_env(&self, env: Envelope) -> Box<Envelope> {
-        if self.arena_enabled {
-            crate::arena::alloc_box(env)
-        } else {
-            Box::new(env)
-        }
-    }
-
     /// Schedule a message delivery under its envelope key. In shard mode,
     /// deliveries to PEs owned by another shard are buffered in the outbox
     /// and exchanged at the next window barrier; the ingesting shard counts
@@ -1681,11 +1625,7 @@ impl Runtime {
             rec_id,
             src_obj,
             cp,
-        } = if self.arena_enabled {
-            crate::arena::take_box(env)
-        } else {
-            *env
-        };
+        } = crate::arena::take_box(env);
 
         let entry_kind = match &payload {
             Payload::User(_) => EntryKind::Message,
@@ -1714,7 +1654,6 @@ impl Runtime {
             actions: std::mem::take(&mut self.action_scratch),
             rng: &mut self.rngs[pe],
             ctrl: &self.ctrl_snapshot,
-            arena: self.arena_enabled,
         };
         let ok = store.execute(&ix, payload, &mut ctx);
         debug_assert!(ok, "element existed a moment ago");
@@ -1894,7 +1833,7 @@ impl Runtime {
                     if let Some(r) = &mut self.recorder {
                         r.note_origin(rec_id);
                     }
-                    let env = self.alloc_env(Envelope {
+                    let env = crate::arena::alloc_box(Envelope {
                         dst,
                         payload: Payload::User(payload),
                         bytes,
@@ -2099,7 +2038,7 @@ impl Runtime {
                 r.note_origin(rec_id);
                 r.on_routed(rec_id, bytes, src_pe, pe, depth, 0);
             }
-            let env = self.alloc_env(Envelope {
+            let env = crate::arena::alloc_box(Envelope {
                 dst,
                 payload: Payload::User(make()),
                 bytes,
@@ -2291,7 +2230,7 @@ impl Runtime {
         } else {
             None
         };
-        let env = self.alloc_env(Envelope {
+        let env = crate::arena::alloc_box(Envelope {
             dst,
             payload: Payload::Sys(ev),
             bytes: ENVELOPE_BYTES,

@@ -1,6 +1,6 @@
 //! Property tests for the adaptive per-shard-pair lookahead planner
-//! (`charm_core::lookahead`) against the global-α reference scheme the
-//! lockstep engine uses.
+//! (`charm_core::lookahead`) against the global-α reference scheme a
+//! lockstep engine would use (and the digest hold still does).
 //!
 //! Two properties carry the whole design:
 //!

@@ -1,21 +1,18 @@
-//! Parallel-engine determinism property: for every mini-app, seed,
-//! worker-thread count, and synchronization scheme (adaptive per-shard-pair
-//! lookahead vs the `global_window` lockstep fallback), the sharded engine
-//! must produce results **byte-identical** to the sequential scheduler —
-//! same final PUP state digests, same Chrome-trace JSON, same step timings,
-//! and (separately) the same PUP-packed replay log bytes.
+//! Parallel-engine determinism property: for every mini-app, seed, and
+//! worker-thread count (2, 4 and 8 — more shards than the host has cores
+//! exercises the engine under real concurrency and oversubscription), the
+//! sharded engine must produce results **byte-identical** to the sequential
+//! scheduler — same final PUP state digests, same Chrome-trace JSON, same
+//! step timings, and (separately) the same PUP-packed replay log bytes.
 //!
 //! The thread counts >1 additionally assert `last_run_parallel()`, so a
 //! silent fallback to the sequential path cannot make this test vacuous.
-//! The `global_window` knob is A/B'd the same way `classic_hotpath` is in
-//! `hotpath_regression`: both engines answer identically, so the knob may
-//! only ever change wall-clock time and window counters.
 
 use charm_core::machine::{presets, MachineConfig};
 use charm_core::{Runtime, TraceConfig};
 
 const SEEDS: [u64; 2] = [42, 9001];
-const THREADS: [usize; 3] = [1, 2, 4];
+const THREADS: [usize; 3] = [2, 4, 8];
 
 /// Everything we demand be identical across thread counts.
 struct Fingerprint {
@@ -36,9 +33,9 @@ fn fingerprint(mut rt: Runtime, step_times: Vec<f64>) -> Fingerprint {
     }
 }
 
-fn check_matrix(app: &str, run: impl Fn(u64, usize, bool) -> Fingerprint) {
+fn check_matrix(app: &str, run: impl Fn(u64, usize) -> Fingerprint) {
     for seed in SEEDS {
-        let base = run(seed, 1, false);
+        let base = run(seed, 1);
         assert!(
             !base.went_parallel,
             "{app} seed {seed}: threads=1 must use the sequential engine"
@@ -47,35 +44,32 @@ fn check_matrix(app: &str, run: impl Fn(u64, usize, bool) -> Fingerprint) {
             !base.digests.is_empty(),
             "{app} seed {seed}: no live chares to digest — test is vacuous"
         );
-        for threads in THREADS.iter().copied().filter(|&t| t > 1) {
-            for global_window in [false, true] {
-                let scheme = if global_window { "lockstep" } else { "adaptive" };
-                let par = run(seed, threads, global_window);
-                assert!(
-                    par.went_parallel,
-                    "{app} seed {seed} threads {threads} ({scheme}): engine silently fell back to sequential"
+        for threads in THREADS {
+            let par = run(seed, threads);
+            assert!(
+                par.went_parallel,
+                "{app} seed {seed} threads {threads}: engine silently fell back to sequential"
+            );
+            assert_eq!(
+                base.digests, par.digests,
+                "{app} seed {seed} threads {threads}: final PUP digests diverged"
+            );
+            assert_eq!(
+                base.step_times, par.step_times,
+                "{app} seed {seed} threads {threads}: step timings diverged"
+            );
+            if base.trace_json != par.trace_json {
+                // Locate the first differing line for a readable failure.
+                let (a, b) = (&base.trace_json, &par.trace_json);
+                let diff = a
+                    .lines()
+                    .zip(b.lines())
+                    .enumerate()
+                    .find(|(_, (x, y))| x != y);
+                panic!(
+                    "{app} seed {seed} threads {threads}: Chrome traces diverged at {:?}",
+                    diff.map(|(i, (x, y))| format!("line {i}: {x} vs {y}"))
                 );
-                assert_eq!(
-                    base.digests, par.digests,
-                    "{app} seed {seed} threads {threads} ({scheme}): final PUP digests diverged"
-                );
-                assert_eq!(
-                    base.step_times, par.step_times,
-                    "{app} seed {seed} threads {threads} ({scheme}): step timings diverged"
-                );
-                if base.trace_json != par.trace_json {
-                    // Locate the first differing line for a readable failure.
-                    let (a, b) = (&base.trace_json, &par.trace_json);
-                    let diff = a
-                        .lines()
-                        .zip(b.lines())
-                        .enumerate()
-                        .find(|(_, (x, y))| x != y);
-                    panic!(
-                        "{app} seed {seed} threads {threads} ({scheme}): Chrome traces diverged at {:?}",
-                        diff.map(|(i, (x, y))| format!("line {i}: {x} vs {y}"))
-                    );
-                }
             }
         }
     }
@@ -83,14 +77,13 @@ fn check_matrix(app: &str, run: impl Fn(u64, usize, bool) -> Fingerprint) {
 
 #[test]
 fn stencil_parallel_matches_sequential() {
-    check_matrix("stencil", |seed, threads, global_window| {
+    check_matrix("stencil", |seed, threads| {
         let mut cfg =
             charm_apps::stencil::StencilConfig::cloud_4k(presets::cloud(8), 2);
         cfg.grid = 512;
         cfg.steps = 6;
         cfg.seed = seed;
         cfg.threads = threads;
-        cfg.global_window = global_window;
         cfg.trace = Some(TraceConfig::default());
         let (run, rt) = charm_apps::stencil::run_with_runtime(cfg);
         fingerprint(rt, run.step_times)
@@ -99,7 +92,7 @@ fn stencil_parallel_matches_sequential() {
 
 #[test]
 fn leanmd_parallel_matches_sequential() {
-    check_matrix("leanmd", |seed, threads, global_window| {
+    check_matrix("leanmd", |seed, threads| {
         let cfg = charm_apps::leanmd::LeanMdConfig {
             machine: MachineConfig::homogeneous(8),
             cells_per_dim: 3,
@@ -107,7 +100,6 @@ fn leanmd_parallel_matches_sequential() {
             steps: 4,
             seed,
             threads,
-            global_window,
             trace: Some(TraceConfig::default()),
             ..Default::default()
         };
@@ -173,7 +165,7 @@ fn parallel_tracer_merges_ring_drops() {
 
 #[test]
 fn pdes_parallel_matches_sequential() {
-    check_matrix("pdes", |seed, threads, global_window| {
+    check_matrix("pdes", |seed, threads| {
         let cfg = charm_apps::pdes::PdesConfig {
             machine: MachineConfig::homogeneous(8),
             lps_per_pe: 16,
@@ -181,7 +173,6 @@ fn pdes_parallel_matches_sequential() {
             windows: 6,
             seed,
             threads,
-            global_window,
             trace: Some(TraceConfig::default()),
             ..Default::default()
         };
@@ -191,22 +182,20 @@ fn pdes_parallel_matches_sequential() {
     });
 }
 
-/// Satellite: the PUP-packed replay log — executed entries in order, with
-/// timings, digests, and message routing — must be byte-identical whether
-/// it was recorded by the sequential scheduler, the adaptive sharded
-/// engine, or the global-window lockstep fallback. Recording here uses no
-/// periodic digest points (`ReplayConfig::default()`), which is exactly
-/// the configuration where the adaptive scheme is eligible.
+/// The PUP-packed replay log — executed entries in order, with timings,
+/// digests, and message routing — must be byte-identical whether it was
+/// recorded by the sequential scheduler or the sharded engine at 2, 4 or
+/// 8 workers. Recording here uses no periodic digest points
+/// (`ReplayConfig::default()`), so no digest hold paces the shards.
 #[test]
 fn replay_log_bytes_identical_across_engines() {
-    let record = |threads: usize, global_window: bool| -> Vec<u8> {
+    let record = |threads: usize| -> Vec<u8> {
         let cfg = charm_apps::leanmd::LeanMdConfig {
             machine: MachineConfig::homogeneous(8),
             cells_per_dim: 3,
             atoms_per_cell: 40,
             steps: 4,
             threads,
-            global_window,
             record: Some(charm_core::ReplayConfig::default()),
             ..Default::default()
         };
@@ -219,17 +208,14 @@ fn replay_log_bytes_identical_across_engines() {
         let mut log = rt.take_replay_log().expect("recording was enabled");
         charm_pup::to_bytes(&mut log)
     };
-    let seq = record(1, false);
+    let seq = record(1);
     assert!(!seq.is_empty());
-    for threads in [2usize, 4] {
-        for global_window in [false, true] {
-            let scheme = if global_window { "lockstep" } else { "adaptive" };
-            assert_eq!(
-                seq,
-                record(threads, global_window),
-                "threads {threads} ({scheme}): .rlog bytes diverged from sequential"
-            );
-        }
+    for threads in THREADS {
+        assert_eq!(
+            seq,
+            record(threads),
+            "threads {threads}: .rlog bytes diverged from sequential"
+        );
     }
 }
 
@@ -260,17 +246,21 @@ fn parallel_queue_ops_cover_every_event() {
     }
 }
 
-/// Zero-work ping-pong partner: the pure scheduler stressor.
+/// Zero-work ping-pong partner: the pure scheduler stressor. With
+/// `contribute` set, an element that receives its last message contributes
+/// to a reduction that only half the array ever joins, so the run ends
+/// with contributions folded into a reduction that never completes.
 #[derive(Default)]
 struct Ping {
     count: u64,
     limit: u64,
     peer: i64,
+    contribute: bool,
 }
 
 impl charm_pup::Pup for Ping {
     fn pup(&mut self, p: &mut charm_pup::Puper) {
-        charm_pup::pup_all!(p; self.count, self.limit, self.peer);
+        charm_pup::pup_all!(p; self.count, self.limit, self.peer, self.contribute);
     }
 }
 
@@ -278,17 +268,34 @@ impl charm_core::Chare for Ping {
     type Msg = u8;
     fn on_message(&mut self, _m: u8, ctx: &mut charm_core::Ctx<'_>) {
         self.count += 1;
+        let arr = charm_core::ArrayProxy::<Ping>::from_id(ctx.my_id().array);
         if self.count < self.limit {
-            let arr = charm_core::ArrayProxy::<Ping>::from_id(ctx.my_id().array);
             ctx.send(arr, charm_core::Ix::i1(self.peer), 0u8);
+        } else if self.contribute {
+            ctx.contribute(
+                arr,
+                1,
+                charm_core::RedValue::I64(1),
+                charm_core::RedOp::Sum,
+                charm_core::Callback::Ignore,
+            );
         }
     }
 }
 
 /// `pairs` ping-pong pairs on 8 PEs, each pair split across two PEs.
 fn ping_pipe(pairs: usize, limit: u64, threads: usize) -> Runtime {
-    let pes = 8;
-    let mut rt = Runtime::homogeneous(pes);
+    ping_pipe_with(Runtime::homogeneous(8), pairs, limit, threads, false)
+}
+
+fn ping_pipe_with(
+    mut rt: Runtime,
+    pairs: usize,
+    limit: u64,
+    threads: usize,
+    contribute: bool,
+) -> Runtime {
+    let pes = rt.num_pes();
     rt.set_parallel_threads(threads);
     let arr = rt.create_array::<Ping>("ping");
     for k in 0..pairs {
@@ -297,6 +304,7 @@ fn ping_pipe(pairs: usize, limit: u64, threads: usize) -> Runtime {
             count: 0,
             limit,
             peer,
+            contribute,
         };
         rt.insert(arr, charm_core::Ix::i1(a), ping(b), Some((2 * k) % pes));
         rt.insert(arr, charm_core::Ix::i1(b), ping(a), Some((2 * k + 1) % pes));
@@ -308,9 +316,10 @@ fn ping_pipe(pairs: usize, limit: u64, threads: usize) -> Runtime {
     rt
 }
 
-/// Satellite: a shard that drains publishes an unbounded clock at the end
-/// of the run; the window counters must count α-cells only up to its last
-/// real event, not up to `u64::MAX`.
+/// A shard whose queue runs dry has its clock pushed past its own work —
+/// to `u64::MAX` once the run drains, or to a peer-granted finite horizon
+/// beyond the run's last cell. The window counters must count α-cells only
+/// up to the cell holding its latest executed event, once each.
 #[test]
 fn window_counters_stay_within_the_run() {
     let win = charm_core::machine::NetworkModel::new(MachineConfig::homogeneous(8).network, 0)
@@ -338,5 +347,37 @@ fn window_counters_stay_within_the_run() {
             s.avg_window_width,
             s.end_time.0
         );
+    }
+}
+
+/// Digest points of a run that drains instead of exiting: the last digest
+/// hold finds nothing pending, and the sequential engine emits a point
+/// there only when contributions were folded in that last window. Both
+/// shapes — plain ping-pong, and ping-pong whose last messages feed a
+/// reduction that never completes — must record the same `.rlog` bytes on
+/// 2, 4 and 8 workers as sequentially.
+#[test]
+fn digest_points_of_a_drained_run_match_sequential() {
+    let record = |threads: usize, every: u64, contribute: bool| {
+        let rt = Runtime::builder(MachineConfig::homogeneous(8))
+            .record(charm_core::ReplayConfig::with_digest_every(every))
+            .build();
+        let mut rt = ping_pipe_with(rt, 16, 40, threads, contribute);
+        assert_eq!(rt.last_run_parallel(), threads > 1, "threads {threads}");
+        let mut log = rt.take_replay_log().expect("recording was enabled");
+        (log.state_points.len(), charm_pup::to_bytes(&mut log))
+    };
+    for contribute in [false, true] {
+        for every in [1, 7] {
+            let (points, seq) = record(1, every, contribute);
+            assert!(points > 1, "{points} digest point(s)");
+            for threads in THREADS {
+                assert!(
+                    record(threads, every, contribute).1 == seq,
+                    "contribute {contribute} digest_every {every} threads {threads}: \
+                     .rlog bytes diverged from sequential"
+                );
+            }
+        }
     }
 }

@@ -169,18 +169,16 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// The calendar backend is observationally identical to the classic
-    /// binary-heap backend — same pop order, same peeks, same lengths —
-    /// under arbitrary interleavings of pushes (heavy same-timestamp ties),
-    /// caller-keyed pushes (out-of-order keys), single pops, whole-timestep
-    /// batch pops with partial restore, and clears (which reset the
-    /// tie-break sequence on both).
+    /// The calendar queue is observationally identical to a plain
+    /// binary heap over `(time, key)` — same pop order, same peeks, same
+    /// lengths — under arbitrary interleavings of pushes (heavy
+    /// same-timestamp ties), caller-keyed pushes (out-of-order keys), single
+    /// pops, whole-timestep batch pops with partial restore, and clears
+    /// (which reset the tie-break sequence on both).
     #[test]
     fn calendar_matches_heap_reference(ops in vec(queue_op(), 0..120)) {
         let mut cal = EventQueue::new();
-        let mut heap = EventQueue::heap_backed();
-        prop_assert!(!cal.is_heap_backed());
-        prop_assert!(heap.is_heap_backed());
+        let mut heap = HeapQueue::default();
         // Payload counter; doubles as the caller-key counter for
         // `push_keyed` (offset far above any internal sequence number, so
         // the two key spaces stay disjoint as the contract requires).
@@ -212,11 +210,11 @@ proptest! {
                         heap.pop_batch_at_seq_into(t, &mut b);
                         prop_assert_eq!(&a, &b);
                         // Restore every other entry under its original key:
-                        // both backends must slot them back identically.
+                        // both queues must slot them back identically.
                         for (i, &(k, p)) in a.iter().enumerate() {
                             if i % 2 == 1 {
                                 cal.restore(t, k, p);
-                                heap.restore(t, k, p);
+                                heap.push_keyed(t, k, p);
                             }
                         }
                     }
@@ -240,7 +238,52 @@ proptest! {
     }
 }
 
-/// One scripted operation against both event-queue backends at once.
+/// The reference model for [`EventQueue`]: a `BinaryHeap` over
+/// `(time, key)`, with the same implicit tie-break sequence for `push`.
+#[derive(Default)]
+struct HeapQueue {
+    seq: u64,
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, u64)>>,
+}
+
+impl HeapQueue {
+    fn push(&mut self, t: SimTime, payload: u64) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.push_keyed(t, seq, payload);
+    }
+
+    fn push_keyed(&mut self, t: SimTime, key: u64, payload: u64) {
+        self.heap.push(std::cmp::Reverse((t, key, payload)));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.pop().map(|std::cmp::Reverse((t, _, p))| (t, p))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|std::cmp::Reverse((t, _, _))| *t)
+    }
+
+    fn pop_batch_at_seq_into(&mut self, t: SimTime, out: &mut Vec<(u64, u64)>) {
+        out.clear();
+        while self.peek_time() == Some(t) {
+            let std::cmp::Reverse((_, k, p)) = self.heap.pop().expect("peeked");
+            out.push((k, p));
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn clear(&mut self) {
+        self.seq = 0;
+        self.heap.clear();
+    }
+}
+
+/// One scripted operation against the queue and its reference at once.
 #[derive(Debug, Clone)]
 enum QueueOp {
     Push(u8),
@@ -260,32 +303,31 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     })
 }
 
-/// `clear` bounds retained capacity on both backends, so long campaigns of
-/// many simulations don't pin the high-water mark forever.
+/// `clear` bounds retained capacity, so long campaigns of many simulations
+/// don't pin the high-water mark forever.
 #[test]
 fn event_queue_clear_caps_capacity() {
-    for mut q in [EventQueue::new(), EventQueue::heap_backed()] {
-        // A wide spread of distinct timestamps plus one very deep bucket.
-        for i in 0..50_000u64 {
-            q.push(SimTime::from_nanos(i), i);
-            q.push(SimTime::from_nanos(7), i);
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert!(
-            q.capacity() <= EventQueue::<u64>::CLEAR_RETAIN_CAP,
-            "retained {} entries of capacity after clear",
-            q.capacity()
-        );
-        // And the sequence counter reset: a cleared queue orders same-time
-        // pushes exactly like a fresh one.
-        let t = SimTime::from_nanos(3);
-        for i in 0..10u64 {
-            q.push(t, i);
-        }
-        for i in 0..10u64 {
-            assert_eq!(q.pop().expect("pushed").1, i);
-        }
+    let mut q = EventQueue::new();
+    // A wide spread of distinct timestamps plus one very deep bucket.
+    for i in 0..50_000u64 {
+        q.push(SimTime::from_nanos(i), i);
+        q.push(SimTime::from_nanos(7), i);
+    }
+    q.clear();
+    assert!(q.is_empty());
+    assert!(
+        q.capacity() <= EventQueue::<u64>::CLEAR_RETAIN_CAP,
+        "retained {} entries of capacity after clear",
+        q.capacity()
+    );
+    // And the sequence counter reset: a cleared queue orders same-time
+    // pushes exactly like a fresh one.
+    let t = SimTime::from_nanos(3);
+    for i in 0..10u64 {
+        q.push(t, i);
+    }
+    for i in 0..10u64 {
+        assert_eq!(q.pop().expect("pushed").1, i);
     }
 }
 

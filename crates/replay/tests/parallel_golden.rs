@@ -50,33 +50,33 @@ fn check(app: &str, threads: usize, mut rt: charm_core::Runtime) {
     );
 }
 
-fn stencil_rt(threads: usize) -> charm_core::Runtime {
+fn stencil_rt(threads: usize, digest_every: u64) -> charm_core::Runtime {
     let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(8), 2);
     cfg.steps = 5;
-    cfg.record = Some(ReplayConfig::with_digest_every(64));
+    cfg.record = Some(ReplayConfig::with_digest_every(digest_every));
     cfg.threads = threads;
     stencil::run_with_runtime(cfg).1
 }
 
-fn leanmd_rt(threads: usize) -> charm_core::Runtime {
+fn leanmd_rt(threads: usize, digest_every: u64) -> charm_core::Runtime {
     let cfg = leanmd::LeanMdConfig {
         cells_per_dim: 3,
         atoms_per_cell: 20,
         steps: 3,
-        record: Some(ReplayConfig::with_digest_every(128)),
+        record: Some(ReplayConfig::with_digest_every(digest_every)),
         threads,
         ..Default::default()
     };
     leanmd::run_with_runtime(cfg).1
 }
 
-fn pdes_rt(threads: usize) -> charm_core::Runtime {
+fn pdes_rt(threads: usize, digest_every: u64) -> charm_core::Runtime {
     let cfg = pdes::PdesConfig {
         machine: charm_core::MachineConfig::homogeneous(8),
         lps_per_pe: 8,
         initial_events_per_lp: 8,
         windows: 4,
-        record: Some(ReplayConfig::with_digest_every(256)),
+        record: Some(ReplayConfig::with_digest_every(digest_every)),
         threads,
         ..Default::default()
     };
@@ -86,20 +86,74 @@ fn pdes_rt(threads: usize) -> charm_core::Runtime {
 #[test]
 fn stencil_parallel_recording_matches_golden() {
     for threads in [2, 4] {
-        check("stencil", threads, stencil_rt(threads));
+        check("stencil", threads, stencil_rt(threads, 64));
     }
 }
 
 #[test]
 fn leanmd_parallel_recording_matches_golden() {
     for threads in [2, 4] {
-        check("leanmd", threads, leanmd_rt(threads));
+        check("leanmd", threads, leanmd_rt(threads, 128));
     }
 }
 
 #[test]
 fn pdes_parallel_recording_matches_golden() {
     for threads in [2, 4] {
-        check("pdes", threads, pdes_rt(threads));
+        check("pdes", threads, pdes_rt(threads, 256));
+    }
+}
+
+/// The golden stencil configuration on a 512×512 grid: same traffic, but
+/// each state digest PUPs 1/64 of the 4k grid, so a digest point at every
+/// window boundary stays cheap in a debug build.
+fn small_stencil_rt(threads: usize, digest_every: u64) -> charm_core::Runtime {
+    let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(8), 2);
+    cfg.grid = 512;
+    cfg.steps = 5;
+    cfg.record = Some(ReplayConfig::with_digest_every(digest_every));
+    cfg.threads = threads;
+    stencil::run_with_runtime(cfg).1
+}
+
+/// Digest points under real concurrency: each app records periodic state
+/// digests every 1, 7 and 64 executed entries on 2, 4 and 8 worker
+/// threads, and the packed log must equal the same configuration recorded
+/// sequentially. `digest_every = 1` puts a point at every window boundary,
+/// so every shard stops at every occupied α-cell: the most pressure the
+/// digest hold can take.
+#[test]
+fn digest_points_match_sequential_under_concurrency() {
+    type AppRt = fn(usize, u64) -> charm_core::Runtime;
+    let apps: [(&str, AppRt); 3] = [
+        ("stencil", small_stencil_rt),
+        ("leanmd", leanmd_rt),
+        ("pdes", pdes_rt),
+    ];
+    let rlog = |mut rt: charm_core::Runtime| {
+        let mut log = rt.take_replay_log().expect("recording on");
+        (log.state_points.len(), charm_pup::to_bytes(&mut log))
+    };
+    for (app, run) in apps {
+        for every in [1, 7, 64] {
+            let seq = run(1, every);
+            assert!(!seq.last_run_parallel());
+            let (points, seq) = rlog(seq);
+            assert!(
+                points > 1,
+                "{app} digest_every {every}: {points} digest point(s)"
+            );
+            for threads in [2, 4, 8] {
+                let par = run(threads, every);
+                assert!(
+                    par.last_run_parallel(),
+                    "{app} digest_every {every} threads {threads}: fell back to sequential"
+                );
+                assert!(
+                    rlog(par).1 == seq,
+                    "{app} digest_every {every} threads {threads}: .rlog bytes diverged from sequential"
+                );
+            }
+        }
     }
 }

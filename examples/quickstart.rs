@@ -1,14 +1,17 @@
 //! Quickstart: the migratable-objects model in one file.
 //!
 //! Builds a small chare array, drives message-driven execution with a
-//! reduction, migrates a chare, and then runs the same program shape on
-//! real OS threads. Run with:
+//! reduction, and then runs the same program with its simulated PEs
+//! sharded across real OS threads. Run with:
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use charm_rs::{ArrayProxy, Callback, Chare, Ctx, Ix, Pup, Puper, RedOp, RedValue, Runtime, SysEvent};
+use charm_rs::{
+    ArrayProxy, Callback, Chare, Ctx, Ix, MachineConfig, Pup, Puper, RedOp, RedValue, Runtime,
+    SysEvent,
+};
 
 /// A chare that squares numbers it receives and contributes the result.
 #[derive(Default)]
@@ -50,9 +53,13 @@ impl Chare for Squarer {
     }
 }
 
-fn simulated() {
+/// Build and run the program on a simulated 8-PE machine with `threads`
+/// OS worker threads (1 = the sequential engine).
+fn run_squares(threads: usize) -> Runtime {
     // 1) A runtime over a simulated 8-PE machine.
-    let mut rt = Runtime::homogeneous(8);
+    let mut rt = Runtime::builder(MachineConfig::homogeneous(8))
+        .threads(threads)
+        .build();
 
     // 2) Over-decomposition: 32 chares on 8 PEs.
     let arr = rt.create_array::<Squarer>("squarers");
@@ -65,9 +72,14 @@ fn simulated() {
     for i in 0..32 {
         rt.send(arr, Ix::i1(i), i);
     }
-    let summary = rt.run();
+    rt.run();
+    rt
+}
 
-    let sum = rt.metric("sum_of_squares").last().expect("reduced").1;
+fn main() {
+    let mut seq = run_squares(1);
+    let summary = seq.summary();
+    let sum = seq.metric("sum_of_squares").last().expect("reduced").1;
     let expect: i64 = (0..32).map(|i| i * i).sum();
     println!(
         "simulated: sum of squares = {sum} (expected {expect}), \
@@ -75,36 +87,14 @@ fn simulated() {
         summary.entries, summary.end_time
     );
     assert_eq!(sum as i64, expect);
-}
 
-fn threaded() {
-    // The same model with genuine parallelism: actors on OS threads.
-    use charm_rs::threaded::{Actor, ActorId, TCtx, ThreadedRuntime};
-
-    struct SquareActor;
-    impl Actor for SquareActor {
-        type Msg = i64;
-        fn on_message(&mut self, x: i64, ctx: &mut TCtx<'_>) {
-            ctx.contribute(1, (x * x) as f64);
-        }
-    }
-
-    let mut rt = ThreadedRuntime::new(4);
-    let ids: Vec<ActorId> = (0..32).map(|_| rt.spawn(SquareActor, None)).collect();
-    let rx = rt.reduction(1, ids.len());
-    for (i, &id) in ids.iter().enumerate() {
-        rt.send::<SquareActor>(id, i as i64);
-    }
-    let sum = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("reduction completes");
-    let expect: i64 = (0..32).map(|i| i * i).sum();
-    println!("threaded:  sum of squares = {sum} (expected {expect})");
-    assert_eq!(sum as i64, expect);
-}
-
-fn main() {
-    simulated();
-    threaded();
+    // The same program with genuine parallelism: the simulated PEs are
+    // sharded across two OS threads, and the result is byte-identical.
+    let mut par = run_squares(2);
+    assert!(par.last_run_parallel(), "the run took the sharded engine");
+    let par_sum = par.metric("sum_of_squares").last().expect("reduced").1;
+    println!("threaded:  sum of squares = {par_sum} on 2 worker threads");
+    assert_eq!(par_sum, sum);
+    assert_eq!(par.state_digest(), seq.state_digest());
     println!("quickstart OK");
 }

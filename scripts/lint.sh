@@ -3,7 +3,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 cargo clippy -q -p charm-pup -p charm-machine -p charm-core -p charm-lb \
-    -p charm-tram -p charm-sort -p charm-ampi -p charm-threaded \
+    -p charm-tram -p charm-sort -p charm-ampi \
     -p charm-apps -p charm-replay -p charm-bench \
     --all-targets -- -D warnings
 echo "clippy clean: all workspace crates"

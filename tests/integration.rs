@@ -1,9 +1,12 @@
 //! Cross-crate integration tests: the facade crate, interop between host
 //! code and multiple runtime libraries, determinism across the full stack,
-//! and agreement between the simulated and threaded executors.
+//! and agreement between the sequential and sharded engines.
 
 use charm_rs::sort::{hist_sort, skewed_keys, verify_sorted};
-use charm_rs::{ArrayProxy, Callback, Chare, Ctx, Ix, Pup, Puper, RedOp, RedValue, Runtime, SysEvent};
+use charm_rs::{
+    ArrayProxy, Callback, Chare, Ctx, Ix, MachineConfig, Pup, Puper, RedOp, RedValue, Runtime,
+    SysEvent,
+};
 
 #[derive(Default)]
 struct Acc {
@@ -111,41 +114,31 @@ fn full_stack_determinism() {
     assert_eq!(a.messages, b.messages);
 }
 
-/// The simulated and threaded executors agree on program results.
+/// The sequential engine and the sharded engine on two OS threads agree
+/// on program results and on every chare's final state.
 #[test]
 fn simulated_and_threaded_agree() {
-    // Simulated.
-    let mut rt = Runtime::homogeneous(4);
-    let arr = rt.create_array::<Acc>("acc");
-    for i in 0..12 {
-        rt.insert(arr, Ix::i1(i), Acc::default(), None);
-    }
-    for i in 0..12 {
-        rt.send(arr, Ix::i1(i), (i + 1) * (i + 1));
-    }
-    rt.run();
-    let sim = rt.metric("acc_total").last().expect("reduced").1 as i64;
-
-    // Threaded.
-    use charm_rs::threaded::{Actor, TCtx, ThreadedRuntime};
-    struct A;
-    impl Actor for A {
-        type Msg = i64;
-        fn on_message(&mut self, v: i64, ctx: &mut TCtx<'_>) {
-            ctx.contribute(1, v as f64);
+    let run = |threads: usize| {
+        let mut rt = Runtime::builder(MachineConfig::homogeneous(4))
+            .threads(threads)
+            .build();
+        let arr = rt.create_array::<Acc>("acc");
+        for i in 0..12 {
+            rt.insert(arr, Ix::i1(i), Acc::default(), None);
         }
-    }
-    let mut trt = ThreadedRuntime::new(4);
-    let ids: Vec<_> = (0..12).map(|_| trt.spawn(A, None)).collect();
-    let rx = trt.reduction(1, ids.len());
-    for (i, &id) in ids.iter().enumerate() {
-        trt.send::<A>(id, ((i + 1) * (i + 1)) as i64);
-    }
-    let thr = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("threaded reduction") as i64;
-
+        for i in 0..12 {
+            rt.send(arr, Ix::i1(i), (i + 1) * (i + 1));
+        }
+        rt.run();
+        let total = rt.metric("acc_total").last().expect("reduced").1 as i64;
+        (total, rt.state_digest(), rt.last_run_parallel())
+    };
+    let (sim, sim_state, sim_par) = run(1);
+    let (thr, thr_state, thr_par) = run(2);
+    assert!(!sim_par);
+    assert!(thr_par, "the two-thread run took the sharded engine");
     assert_eq!(sim, thr);
+    assert_eq!(sim_state, thr_state);
     assert_eq!(sim, (1..=12).map(|i| i * i).sum::<i64>());
 }
 
